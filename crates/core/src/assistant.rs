@@ -33,15 +33,14 @@ use mpirical_metrics::CallSite;
 use mpirical_model::decode::encode_source as model_encode;
 use mpirical_model::vocab::{EOS, SEP, SOS};
 use mpirical_model::{
-    decode_encoded_prompted_all, decode_encoded_prompted_all_quant, decode_encoded_prompted_quant,
-    BatchDecoder, BatchRequest, DecodeOptions, DecoderWeights, Engine, EngineConfig, EngineModel,
-    EpochStats, ModelConfig, Precision, PrefixStats, QuantDecoderWeights, Seq2SeqModel,
-    SubmitOptions, TrainConfig, TrainReport, DEFAULT_MAX_BATCH,
+    decode_encoded_prompted_all, BatchDecoder, BatchRequest, DecodeOptions, DecoderWeights, Engine,
+    EngineConfig, EngineModel, EpochStats, ModelConfig, Precision, PrefixStats,
+    QuantDecoderWeights, Seq2SeqModel, SubmitOptions, TrainConfig, TrainReport,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// One assistance suggestion: insert `function` at `line` of the
 /// standardized (predicted) program.
@@ -131,6 +130,11 @@ pub(crate) fn canonical_program(c_source: &str) -> Program {
     parse_tolerant(&std_text).program
 }
 
+/// The winning (best-scored) hypothesis of a ranked list.
+fn winner(hypotheses: Vec<Vec<usize>>) -> Vec<usize> {
+    hypotheses.into_iter().next().unwrap_or_default()
+}
+
 /// Assistant configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MpiRicalConfig {
@@ -188,22 +192,16 @@ pub struct MpiRical {
     /// deserialize.
     #[serde(default)]
     pub decode: DecodeOptions,
-    /// Int8 decoder weights, quantized **once per artifact**: eagerly at
-    /// [`load`](Self::load)/[`train`](Self::train) when
-    /// `decode.precision == Int8`, lazily on the first quantized decode
-    /// otherwise. Held as the scheduler-facing [`DecoderWeights`] enum so
-    /// batch decoders can borrow the prepared set without re-quantizing.
-    /// Not serialized (always re-derived from the f32 weights); clones
-    /// share the cache through the `Arc`.
+    /// Decoder weights prepared for serving: one [`EngineModel`] per
+    /// [`Precision`], each packed (f32) or quantized (int8) **at most once
+    /// per artifact** — for `decode.precision` eagerly at
+    /// [`load`](Self::load)/[`train`](Self::train), otherwise on first use.
+    /// Every consumer borrows this one set: the single-request int8 decode,
+    /// inline schedulers, the sharded [`Engine`], and
+    /// [`quant_weights`](Self::quant_weights). Not serialized (always
+    /// re-derived from the f32 weights); clones share it through the `Arc`.
     #[serde(skip)]
-    pub quant: Arc<OnceLock<DecoderWeights>>,
-    /// Cached [`EngineModel`] bundle for the sharded serving engine —
-    /// built on the first multi-core batch decode and reused for the
-    /// artifact's lifetime (invalidated if `decode.precision` changes, so
-    /// a re-configured artifact never serves stale-precision weights).
-    /// Not serialized; clones share the cache through the `Arc`.
-    #[serde(skip)]
-    pub(crate) engine_model: Arc<Mutex<Option<Arc<EngineModel>>>>,
+    prepared: Arc<[OnceLock<Arc<EngineModel>>; 2]>,
     /// Closed-loop verification options; `Some` makes every suggestion
     /// path splice, execute, and re-rank its beam hypotheses (see
     /// [`crate::verify`]). `None` — the default, and what pre-existing
@@ -237,21 +235,18 @@ impl MpiRical {
             model,
             input_format: cfg.input_format,
             decode: cfg.decode,
-            quant: Arc::default(),
-            engine_model: Arc::default(),
+            prepared: Arc::default(),
             verify: cfg.verify.clone(),
         };
-        if assistant.decode.precision == Precision::Int8 {
-            assistant.quant_weights();
-        }
+        assistant.prepared();
         (assistant, report)
     }
 
     /// Assemble an assistant directly from its parts — the escape hatch
     /// for tests, benches, and callers reconstructing an artifact by hand
     /// ([`train`](Self::train)/[`load`](Self::load) are the ordinary
-    /// paths). The quantized-weight and engine caches start empty and fill
-    /// lazily on first use.
+    /// paths). The prepared-weight cache starts empty and fills lazily on
+    /// first use.
     pub fn from_parts(
         model: Seq2SeqModel,
         input_format: InputFormat,
@@ -262,31 +257,107 @@ impl MpiRical {
             model,
             input_format,
             decode,
-            quant: Arc::default(),
-            engine_model: Arc::default(),
+            prepared: Arc::default(),
             verify,
         }
+    }
+
+    /// The cache slot holding the prepared weights for `precision`.
+    fn slot(&self, precision: Precision) -> &OnceLock<Arc<EngineModel>> {
+        match precision {
+            Precision::F32 => &self.prepared[0],
+            Precision::Int8 => &self.prepared[1],
+        }
+    }
+
+    /// The weights prepared for `precision`, built on first use.
+    fn prepared_for(&self, precision: Precision) -> &Arc<EngineModel> {
+        self.slot(precision).get_or_init(|| {
+            let m = &self.model;
+            Arc::new(EngineModel::new(
+                m.store.clone(),
+                m.params.clone(),
+                m.cfg.clone(),
+                precision,
+            ))
+        })
+    }
+
+    /// The weights prepared for the artifact's `decode.precision` — the
+    /// one place that decides which weight set serves a decode.
+    fn prepared(&self) -> &Arc<EngineModel> {
+        self.prepared_for(self.decode.precision)
     }
 
     /// The artifact's int8 decoder weights, quantized on first use and
     /// cached for the artifact's lifetime (an `Int8`-configured artifact
     /// primes this at load/train, so serving never pays it per request).
+    /// The same allocation the `Int8` [`engine_model`](Self::engine_model)
+    /// serves from.
     pub fn quant_weights(&self) -> &QuantDecoderWeights {
-        match self.int8_weights() {
+        match self.prepared_for(Precision::Int8).weights() {
             DecoderWeights::Int8(q) => q,
-            DecoderWeights::F32(_) => unreachable!("the cache only ever holds Int8 weights"),
+            DecoderWeights::F32(_) => unreachable!("the Int8 slot holds Int8 weights"),
         }
     }
 
-    /// The same cached int8 weight set as the scheduler-facing enum, for
-    /// handing to [`BatchDecoder::with_weights`] by reference.
-    pub(crate) fn int8_weights(&self) -> &DecoderWeights {
-        self.quant.get_or_init(|| {
-            DecoderWeights::Int8(QuantDecoderWeights::new(
-                &self.model.store,
-                &self.model.params,
-            ))
-        })
+    /// The [`EngineModel`] bundle for the artifact's current precision —
+    /// the prepared weight set itself, shared (every call returns the same
+    /// `Arc` until `decode.precision` changes; switching back returns the
+    /// earlier set, never a rebuilt one).
+    pub fn engine_model(&self) -> Arc<EngineModel> {
+        Arc::clone(self.prepared())
+    }
+
+    /// Lanes per scheduler: `max_batch`, raised to the beam width so a
+    /// beam request (which reserves `beam` lanes) always fits one
+    /// scheduler.
+    fn lanes(&self, max_batch: usize) -> usize {
+        max_batch.max(self.decode.beam)
+    }
+
+    /// Panic with a descriptive message if the decode options are invalid
+    /// (e.g. `beam = 0`) — at scheduler construction, not deep inside a
+    /// step.
+    fn assert_valid_decode(&self) {
+        if let Err(e) = self.decode.validate() {
+            panic!("invalid artifact decode options: {e}");
+        }
+    }
+
+    /// An inline [`BatchDecoder`] over the prepared weights, with
+    /// [`lanes`](Self::lanes)`(max_batch)` lanes.
+    ///
+    /// # Panics
+    ///
+    /// If the artifact's decode options are invalid.
+    pub(crate) fn batch_decoder(&self, max_batch: usize) -> BatchDecoder<'_> {
+        self.assert_valid_decode();
+        let em = self.prepared();
+        BatchDecoder::with_weights(
+            &em.store,
+            &em.params,
+            &em.cfg,
+            self.lanes(max_batch),
+            Cow::Borrowed(em.weights()),
+        )
+    }
+
+    /// A sharded [`Engine`] over the prepared weights, `cfg.max_batch`
+    /// raised by the same lane rule as [`batch_decoder`](Self::batch_decoder).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.workers` is 0 or the artifact's decode options are invalid.
+    pub(crate) fn engine(&self, cfg: EngineConfig) -> Engine {
+        self.assert_valid_decode();
+        Engine::new(
+            self.engine_model(),
+            EngineConfig {
+                max_batch: self.lanes(cfg.max_batch),
+                ..cfg
+            },
+        )
     }
 
     /// Encode raw (possibly incomplete) C source into encoder ids:
@@ -323,59 +394,29 @@ impl MpiRical {
         EncodedSource { ids: src, health }
     }
 
-    /// Generate from already-encoded source ids with the artifact's
-    /// [`DecodeOptions`] — the one generation call every prediction path
-    /// funnels through. An `Int8` artifact decodes through its cached
-    /// quantized weights ([`quant_weights`](Self::quant_weights)) rather
-    /// than re-quantizing per request.
-    fn generate_ids(&self, src: &[usize]) -> Vec<usize> {
+    /// Every beam hypothesis for already-encoded source ids with the
+    /// artifact's [`DecodeOptions`], best model score first — the one
+    /// single-request generation call every prediction path funnels
+    /// through; element 0 is the prediction. An `Int8` artifact decodes
+    /// through its prepared quantized weights rather than re-quantizing
+    /// per request.
+    fn generate(&self, src: &[usize]) -> Vec<Vec<usize>> {
         let m = &self.model;
-        match self.decode.precision {
-            Precision::F32 => m.generate_with(src, m.cfg.max_dec_len, self.decode),
-            Precision::Int8 => {
-                let enc_out = model_encode(&m.store, &m.params, &m.cfg, src);
-                decode_encoded_prompted_quant(
-                    &m.store,
-                    &m.params,
-                    &m.cfg,
-                    self.quant_weights(),
-                    &enc_out,
-                    &[SOS],
-                    m.cfg.max_dec_len,
-                    self.decode,
-                )
-            }
-        }
-    }
-
-    /// Every beam hypothesis for already-encoded source ids, best model
-    /// score first. Element 0 is bitwise-identical to
-    /// [`generate_ids`](Self::generate_ids) — the closed verification loop
-    /// relies on this to be read-only with respect to the model's output.
-    fn generate_ids_all(&self, src: &[usize]) -> Vec<Vec<usize>> {
-        let m = &self.model;
+        let qw = match self.prepared().weights() {
+            DecoderWeights::Int8(q) => Some(q),
+            DecoderWeights::F32(_) => None,
+        };
         let enc_out = model_encode(&m.store, &m.params, &m.cfg, src);
-        match self.decode.precision {
-            Precision::F32 => decode_encoded_prompted_all(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                &enc_out,
-                &[SOS],
-                m.cfg.max_dec_len,
-                self.decode,
-            ),
-            Precision::Int8 => decode_encoded_prompted_all_quant(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                self.quant_weights(),
-                &enc_out,
-                &[SOS],
-                m.cfg.max_dec_len,
-                self.decode,
-            ),
-        }
+        decode_encoded_prompted_all(
+            &m.store,
+            &m.params,
+            &m.cfg,
+            qw,
+            &enc_out,
+            &[SOS],
+            m.cfg.max_dec_len,
+            self.decode,
+        )
     }
 
     /// Execute up to `opts.max_hypotheses` hypotheses against the serial
@@ -432,8 +473,7 @@ impl MpiRical {
     /// int8 projection kernels when `decode.precision` is
     /// [`Precision::Int8`]).
     pub fn predict_ids(&self, c_source: &str) -> Vec<usize> {
-        let src = self.encode_source(c_source);
-        self.generate_ids(&src.ids)
+        winner(self.generate(&self.encode_source(c_source).ids))
     }
 
     /// Suggest MPI functions and their insertion lines (paper RQ1 + RQ2).
@@ -450,233 +490,72 @@ impl MpiRical {
     /// unparseable mid-edit regions.
     pub fn suggest_report(&self, c_source: &str) -> SuggestReport {
         let src = self.encode_source(c_source);
-        if let Some(vopts) = &self.verify {
-            let hypotheses = self.generate_ids_all(&src.ids);
-            let base = canonical_program(c_source);
-            let (mut suggestions, stats) = self.verify_and_rank(&base, hypotheses, vopts);
-            apply_health(&mut suggestions, &src.health);
-            return SuggestReport {
-                suggestions,
-                health: src.health,
-                verify: Some(stats),
-                prefix: None,
-            };
-        }
-        let ids = self.generate_ids(&src.ids);
-        let mut suggestions: Vec<Suggestion> = calls_from_ids(&ids, &self.model.vocab)
-            .into_iter()
-            .map(Suggestion::from)
-            .collect();
-        apply_health(&mut suggestions, &src.health);
+        let hypotheses = self.generate(&src.ids);
+        self.report(c_source, src.health, hypotheses, None)
+    }
+
+    /// One source's [`SuggestReport`] from its ranked hypotheses: verified
+    /// and re-ranked on a verifying artifact, the winner's calls otherwise;
+    /// then the parse health applied. Shared by the single-request and
+    /// batch paths so the two cannot drift apart.
+    fn report(
+        &self,
+        c_source: &str,
+        health: ParseHealth,
+        hypotheses: Vec<Vec<usize>>,
+        prefix: Option<PrefixStats>,
+    ) -> SuggestReport {
+        let (mut suggestions, verify) = match &self.verify {
+            Some(vopts) => {
+                let base = canonical_program(c_source);
+                let (suggestions, stats) = self.verify_and_rank(&base, hypotheses, vopts);
+                (suggestions, Some(stats))
+            }
+            None => (self.suggestions_from(&winner(hypotheses)), None),
+        };
+        apply_health(&mut suggestions, &health);
         SuggestReport {
             suggestions,
-            health: src.health,
-            verify: None,
-            prefix: None,
+            health,
+            verify,
+            prefix,
         }
     }
 
-    /// Predict token ids for many sources at once through the batched
-    /// lockstep decoder ([`BatchDecoder`]): the sources' per-step weight
-    /// projections are fused into shared matrix kernels and finished
-    /// sequences retire out of the batch continuously, so aggregate
-    /// throughput scales far better than calling [`predict_ids`] in a loop
-    /// while returning **exactly the same ids per source**.
-    ///
-    /// The artifact's full [`DecodeOptions`] are honored in-batch: a
-    /// beam-configured artifact decodes with batched beam search (each
-    /// request reserves `beam` lanes; hypotheses fork copy-on-write in the
-    /// scheduler's paged KV cache), no sequential fallback.
-    ///
-    /// [`BatchDecoder`]: mpirical_model::BatchDecoder
-    /// [`predict_ids`]: Self::predict_ids
-    pub fn predict_ids_batch(&self, sources: &[&str]) -> Vec<Vec<usize>> {
-        let reqs = sources.iter().map(|s| self.batch_request(s)).collect();
-        self.decode_requests(reqs)
+    /// The suggestions extractable from decoded ids, in model order.
+    pub(crate) fn suggestions_from(&self, ids: &[usize]) -> Vec<Suggestion> {
+        calls_from_ids(ids, &self.model.vocab)
+            .into_iter()
+            .map(Suggestion::from)
+            .collect()
     }
 
-    /// The cached [`EngineModel`] bundle for the sharded serving engine,
-    /// built on first use from the artifact's current precision (an `Int8`
-    /// artifact hands its already-quantized weight cache to the bundle —
-    /// no re-quantization) and rebuilt only if `decode.precision` changes.
-    pub fn engine_model(&self) -> Arc<EngineModel> {
-        let mut slot = self
-            .engine_model
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(bundle) = slot.as_ref() {
-            if bundle.precision() == self.decode.precision {
-                return Arc::clone(bundle);
-            }
-        }
-        let m = &self.model;
-        let weights = match self.decode.precision {
-            Precision::F32 => DecoderWeights::for_precision(&m.store, &m.params, Precision::F32),
-            Precision::Int8 => self.int8_weights().clone(),
-        };
-        let bundle = Arc::new(EngineModel::with_weights(
-            m.store.clone(),
-            m.params.clone(),
-            m.cfg.clone(),
-            weights,
-        ));
-        *slot = Some(Arc::clone(&bundle));
-        bundle
+    /// Decode prepared requests on a fresh [`Engine`] and return every
+    /// request's ranked hypotheses (winner first) plus the engine's final
+    /// [`PrefixStats`] snapshot, taken after the batch drains and before
+    /// shutdown clears the index. The engine runs one worker per request,
+    /// up to the machine's available parallelism and at most 8 (per-worker
+    /// scratch buffers are not free); outputs are bitwise identical at any
+    /// worker count (pinned by `tests/parallel_engine_props.rs`).
+    fn decode_requests(&self, reqs: Vec<BatchRequest>) -> (Vec<Vec<Vec<usize>>>, PrefixStats) {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = cores.min(reqs.len()).clamp(1, 8);
+        let engine = self.engine(EngineConfig::with_workers(workers));
+        let out = engine.decode_all_hypotheses(reqs);
+        let prefix = engine.prefix_stats();
+        engine.shutdown();
+        (out, prefix)
     }
 
-    /// Worker count the batch decode paths shard across for `reqs`
-    /// requests: one worker per request up to the machine's available
-    /// parallelism, capped at 8 (per-worker scratch buffers are not
-    /// free). `MPIRICAL_ENGINE_WORKERS` overrides the cores/cap part —
-    /// `1` forces the inline single-scheduler reference path, higher
-    /// values force sharding even on small machines.
-    fn engine_workers(reqs: usize) -> usize {
-        let var = std::env::var("MPIRICAL_ENGINE_WORKERS").ok();
-        Self::engine_workers_from(var.as_deref(), reqs)
-    }
-
-    /// [`engine_workers`](Self::engine_workers) with the environment
-    /// override passed explicitly, so the parse policy is testable without
-    /// mutating process-global state. An invalid override (non-numeric or
-    /// `0`) panics with a descriptive message instead of being silently
-    /// ignored — a deployment that sets the knob wrong should find out at
-    /// the first decode, not run forever on a default it never asked for.
-    fn engine_workers_from(var: Option<&str>, reqs: usize) -> usize {
-        let cores = match var {
-            Some(raw) => raw
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "MPIRICAL_ENGINE_WORKERS must be a positive worker count, got {raw:?} \
-                     (set 1 to force the inline single-scheduler path, or unset the variable \
-                     to auto-detect from available parallelism)"
-                    )
-                }),
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-        };
-        cores.min(reqs)
-    }
-
-    /// A sharded [`Engine`] over this artifact with `workers` workers, each
-    /// decoding up to the artifact's lane count.
-    fn engine(&self, workers: usize) -> Engine {
-        Engine::new(
-            self.engine_model(),
-            EngineConfig {
-                workers,
-                max_batch: DEFAULT_MAX_BATCH.max(self.decode.beam),
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    /// Decode a set of prepared requests — the shared tail of
-    /// [`predict_ids_batch`](Self::predict_ids_batch) and
-    /// [`suggest_batch`](Self::suggest_batch). With more than one request
-    /// and more than one available core this shards across a multi-worker
-    /// [`Engine`]; otherwise it runs one inline [`BatchDecoder`]. The two
-    /// paths produce **bitwise identical** ids (pinned by
-    /// `tests/parallel_engine_props.rs`), so the routing is a pure
-    /// throughput decision.
-    fn decode_requests(&self, reqs: Vec<BatchRequest>) -> Vec<Vec<usize>> {
-        self.decode_requests_stats(reqs).0
-    }
-
-    /// [`decode_requests`](Self::decode_requests) plus the scheduler's
-    /// final [`PrefixStats`] snapshot — taken from the shared radix index
-    /// after the batch drains (and, on the sharded path, before shutdown
-    /// clears it).
-    fn decode_requests_stats(&self, reqs: Vec<BatchRequest>) -> (Vec<Vec<usize>>, PrefixStats) {
-        let workers = Self::engine_workers(reqs.len());
-        if workers > 1 {
-            let engine = self.engine(workers);
-            let out = engine.decode_all(reqs);
-            let prefix = engine.prefix_stats();
-            engine.shutdown();
-            return (out, prefix);
-        }
-        let m = &self.model;
-        let lanes = DEFAULT_MAX_BATCH.max(self.decode.beam);
-        let mut dec = match self.decode.precision {
-            Precision::F32 => BatchDecoder::new(&m.store, &m.params, &m.cfg, lanes),
-            // Borrow the artifact's load-time quantized weights — no
-            // re-quantization per call.
-            Precision::Int8 => BatchDecoder::with_weights(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                lanes,
-                Cow::Borrowed(self.int8_weights()),
-            ),
-        };
-        let out = dec.decode_all(reqs);
-        (out, dec.prefix_stats())
-    }
-
-    /// [`decode_requests_stats`](Self::decode_requests_stats) keeping the
-    /// full ranked hypothesis list per request — the batch-path twin of
-    /// [`generate_ids_all`](Self::generate_ids_all) for the closed
-    /// verification loop. Shards across an [`Engine`] exactly like
-    /// [`decode_requests`](Self::decode_requests).
-    fn decode_requests_all_stats(
-        &self,
-        reqs: Vec<BatchRequest>,
-    ) -> (Vec<Vec<Vec<usize>>>, PrefixStats) {
-        let workers = Self::engine_workers(reqs.len());
-        if workers > 1 {
-            let engine = self.engine(workers);
-            let out = engine.decode_all_hypotheses(reqs);
-            let prefix = engine.prefix_stats();
-            engine.shutdown();
-            return (out, prefix);
-        }
-        let m = &self.model;
-        let lanes = DEFAULT_MAX_BATCH.max(self.decode.beam);
-        let mut dec = match self.decode.precision {
-            Precision::F32 => BatchDecoder::new(&m.store, &m.params, &m.cfg, lanes),
-            Precision::Int8 => BatchDecoder::with_weights(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                lanes,
-                Cow::Borrowed(self.int8_weights()),
-            ),
-        };
-        let out = dec.decode_all_hypotheses(reqs);
-        (out, dec.prefix_stats())
-    }
-
-    /// Build the [`BatchRequest`] for one source: tolerant-parse + encode,
-    /// run the encoder, attach the artifact's [`DecodeOptions`] (beam
-    /// included — the lockstep scheduler decodes beam requests natively).
-    /// Submitted at the default scheduling options
-    /// ([`Priority::Interactive`](mpirical_model::Priority::Interactive),
-    /// no token cap); see [`batch_request_with`](Self::batch_request_with).
-    pub fn batch_request(&self, c_source: &str) -> BatchRequest {
-        self.batch_request_with(c_source, SubmitOptions::default())
-    }
-
-    /// [`batch_request`](Self::batch_request) with explicit
-    /// [`SubmitOptions`] — the priority class and optional generated-token
-    /// cap ride the request into the scheduler's admission queue. The
-    /// single construction point shared by
-    /// [`predict_ids_batch`](Self::predict_ids_batch) and
+    /// Build the [`BatchRequest`] for an already-encoded source: run the
+    /// encoder and attach the artifact's [`DecodeOptions`] (beam included —
+    /// the lockstep scheduler decodes beam requests natively) and the
+    /// caller's [`SubmitOptions`] (priority class, optional token cap). The
+    /// caller keeps the [`EncodedSource::health`] to interpret the eventual
+    /// output. The single construction point shared by
+    /// [`suggest_batch`](Self::suggest_batch) and
     /// [`SuggestService`](crate::service::SuggestService), so the one-shot
     /// and daemon serving paths can never drift apart.
-    pub fn batch_request_with(&self, c_source: &str, submit: SubmitOptions) -> BatchRequest {
-        self.request_from_encoded(&self.encode_source(c_source), submit)
-    }
-
-    /// Build a [`BatchRequest`] from an already-encoded source — the caller
-    /// keeps the [`EncodedSource::health`] to interpret the eventual output
-    /// (this is what [`SuggestService`](crate::service::SuggestService) does
-    /// per ticket).
     pub fn request_from_encoded(&self, enc: &EncodedSource, submit: SubmitOptions) -> BatchRequest {
         let m = &self.model;
         let enc_out = model_encode(&m.store, &m.params, &m.cfg, &enc.ids);
@@ -713,40 +592,12 @@ impl MpiRical {
             .iter()
             .map(|e| self.request_from_encoded(e, SubmitOptions::default()))
             .collect();
-        if let Some(vopts) = &self.verify {
-            let (all, prefix) = self.decode_requests_all_stats(reqs);
-            return all
-                .into_iter()
-                .zip(encoded.into_iter().zip(sources))
-                .map(|(hypotheses, (enc, source))| {
-                    let base = canonical_program(source);
-                    let (mut suggestions, stats) = self.verify_and_rank(&base, hypotheses, vopts);
-                    apply_health(&mut suggestions, &enc.health);
-                    SuggestReport {
-                        suggestions,
-                        health: enc.health,
-                        verify: Some(stats),
-                        prefix: Some(prefix),
-                    }
-                })
-                .collect();
-        }
-        let (ids_all, prefix) = self.decode_requests_stats(reqs);
-        ids_all
-            .into_iter()
+        let (all, prefix) = self.decode_requests(reqs);
+        all.into_iter()
             .zip(encoded)
-            .map(|(ids, enc)| {
-                let mut suggestions: Vec<Suggestion> = calls_from_ids(&ids, &self.model.vocab)
-                    .into_iter()
-                    .map(Suggestion::from)
-                    .collect();
-                apply_health(&mut suggestions, &enc.health);
-                SuggestReport {
-                    suggestions,
-                    health: enc.health,
-                    verify: None,
-                    prefix: Some(prefix),
-                }
+            .zip(sources)
+            .map(|((hypotheses, enc), source)| {
+                self.report(source, enc.health, hypotheses, Some(prefix))
             })
             .collect()
     }
@@ -766,7 +617,7 @@ impl MpiRical {
             &self.model.cfg,
             self.input_format,
         )?;
-        Some(self.generate_ids(&ex.src))
+        Some(winner(self.generate(&ex.src)))
     }
 
     /// Save the artifact (model + vocab + input format) as JSON.
@@ -776,9 +627,9 @@ impl MpiRical {
 
     /// Load a saved artifact. Rejects artifacts whose decode options are
     /// invalid (e.g. `beam = 0`) instead of letting them panic deep inside
-    /// a later decode, and — the artifact-load-time quantization — eagerly
-    /// quantizes the decoder weights when the artifact is configured for
-    /// [`Precision::Int8`], so the first request pays no quantization cost.
+    /// a later decode, and eagerly prepares the decoder weights for the
+    /// artifact's precision (packed f32, or quantized for
+    /// [`Precision::Int8`]), so the first request pays no preparation cost.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<MpiRical> {
         let text = std::fs::read_to_string(path)?;
         let mut m: MpiRical = serde_json::from_str(&text).map_err(std::io::Error::other)?;
@@ -790,9 +641,7 @@ impl MpiRical {
         })?;
         m.model.store.rebuild_index();
         m.model.vocab.rebuild_index();
-        if m.decode.precision == Precision::Int8 {
-            m.quant_weights();
-        }
+        m.prepared();
         Ok(m)
     }
 }
@@ -945,7 +794,7 @@ mod tests {
         let loaded = MpiRical::load(&path).unwrap();
         assert_eq!(loaded.decode.precision, crate::Precision::Int8);
         assert!(
-            loaded.quant.get().is_some(),
+            loaded.slot(crate::Precision::Int8).get().is_some(),
             "Int8 artifact quantizes at load time"
         );
         assert_eq!(
@@ -1022,40 +871,40 @@ mod tests {
         assert_eq!(batched[0], report.suggestions);
     }
 
-    /// Regression (satellite fix): an invalid `MPIRICAL_ENGINE_WORKERS`
-    /// override used to be silently ignored via `.ok()` chaining — the
-    /// deployment ran on auto-detected cores while believing it had pinned
-    /// the worker count. The parse policy now rejects bad values loudly.
-    /// (Tested through the env-free helper so no process-global state is
-    /// mutated under the parallel test harness.)
+    /// One weight cache: every consumer of an artifact's prepared weights
+    /// shares one allocation per precision, built once — no copy for the
+    /// engine bundle, no rebuild after a precision round trip.
     #[test]
-    fn engine_workers_override_valid_values_and_default() {
-        assert_eq!(MpiRical::engine_workers_from(Some("3"), 8), 3);
-        assert_eq!(MpiRical::engine_workers_from(Some(" 2 "), 8), 2, "trimmed");
-        assert_eq!(
-            MpiRical::engine_workers_from(Some("16"), 4),
-            4,
-            "capped at the request count"
+    fn prepared_weights_are_one_shared_set_per_precision() {
+        let mut assistant = tiny_assistant();
+        assert_eq!(assistant.decode.precision, crate::Precision::F32);
+        let f32_set = assistant.engine_model();
+        assert!(
+            Arc::ptr_eq(&f32_set, &assistant.engine_model()),
+            "repeated engine_model() calls share one bundle"
         );
-        assert_eq!(MpiRical::engine_workers_from(Some("1"), 8), 1);
-        let auto = MpiRical::engine_workers_from(None, 8);
-        assert!((1..=8).contains(&auto), "auto-detect stays in [1, 8]");
-        assert_eq!(
-            MpiRical::engine_workers_from(None, 1),
-            1,
-            "one request never shards"
+
+        assistant.decode.precision = crate::Precision::Int8;
+        let int8_set = assistant.engine_model();
+        assert_eq!(int8_set.precision(), crate::Precision::Int8);
+        assert!(Arc::ptr_eq(&int8_set, &assistant.engine_model()));
+        let DecoderWeights::Int8(engine_q) = int8_set.weights() else {
+            panic!("an Int8 artifact's engine serves int8 weights");
+        };
+        assert!(
+            std::ptr::eq(assistant.quant_weights(), engine_q),
+            "quant_weights() and the engine's Int8 set are one allocation"
         );
-    }
 
-    #[test]
-    #[should_panic(expected = "MPIRICAL_ENGINE_WORKERS must be a positive worker count")]
-    fn engine_workers_override_zero_is_rejected_loudly() {
-        MpiRical::engine_workers_from(Some("0"), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "MPIRICAL_ENGINE_WORKERS must be a positive worker count")]
-    fn engine_workers_override_garbage_is_rejected_loudly() {
-        MpiRical::engine_workers_from(Some("all-the-cores"), 8);
+        assistant.decode.precision = crate::Precision::F32;
+        let back = assistant.engine_model();
+        assert_eq!(back.precision(), crate::Precision::F32);
+        assert!(
+            Arc::ptr_eq(&back, &f32_set),
+            "switching back serves the original f32 set, not a rebuild"
+        );
+        assert!(!Arc::ptr_eq(&back, &int8_set));
+        // The int8 set survives the round trip too.
+        assert!(std::ptr::eq(assistant.quant_weights(), engine_q));
     }
 }

@@ -79,7 +79,6 @@
 //! ```
 
 use crate::assistant::{apply_health, canonical_program, MpiRical, Suggestion};
-use crate::tokenize::calls_from_ids;
 use crate::verify::VerifyStats;
 use mpirical_cparse::{ParseHealth, Program};
 use mpirical_model::{
@@ -88,7 +87,6 @@ use mpirical_model::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -146,7 +144,6 @@ impl SuggestPoll {
 /// Submit/poll scheduler turning an [`MpiRical`] artifact into a shared
 /// generation backend (see module docs).
 pub struct SuggestService<'m> {
-    assistant: AssistantHandle<'m>,
     backend: Backend<'m>,
     /// Front-end parse health per live ticket, captured at submit time and
     /// redeemed with the ticket (`Done` carries it; `Cancelled` drops it).
@@ -163,68 +160,62 @@ pub struct SuggestService<'m> {
     verify_done: HashMap<RequestId, SuggestPoll>,
 }
 
-/// The generation backend behind a [`SuggestService`]: one inline
-/// [`BatchDecoder`] stepped by the caller (the deterministic, step-precise
-/// reference — [`SuggestService::new`]), or a sharded multi-worker
-/// [`Engine`] whose workers decode autonomously
-/// ([`SuggestService::sharded`]). Both produce bitwise identical
+/// The generation backend behind a [`SuggestService`], with the artifact
+/// it serves: a borrowed artifact driving one inline [`BatchDecoder`]
+/// stepped by the caller (the deterministic, step-precise reference —
+/// [`SuggestService::new`]), or an owned (`Arc`) artifact behind a
+/// multi-worker [`Engine`] whose workers decode autonomously
+/// ([`SuggestService::owned`] — the service is then `'static` and `Send`,
+/// so a daemon thread can carry it). Both produce bitwise identical
 /// suggestions; they differ only in who drives the decode loop and how
 /// many cores it uses.
 enum Backend<'m> {
-    // Boxed: a BatchDecoder embeds its lane scratch (~700 bytes), the
-    // Engine handle is two Arcs — keep the enum pointer-sized either way.
-    Inline(Box<BatchDecoder<'m>>),
-    Sharded(Engine),
-}
-
-/// How a [`SuggestService`] holds its artifact: borrowed for the classic
-/// in-process constructors, or owned (`Arc`) so a long-lived daemon thread
-/// can carry the whole service without tying it to a caller's stack frame
-/// ([`SuggestService::owned`] — the service is then `'static` and `Send`).
-enum AssistantHandle<'m> {
-    Borrowed(&'m MpiRical),
-    Owned(Arc<MpiRical>),
-}
-
-impl Deref for AssistantHandle<'_> {
-    type Target = MpiRical;
-
-    fn deref(&self) -> &MpiRical {
-        match self {
-            AssistantHandle::Borrowed(a) => a,
-            AssistantHandle::Owned(a) => a,
-        }
-    }
+    Inline {
+        assistant: &'m MpiRical,
+        // Boxed: a BatchDecoder embeds its lane scratch (~700 bytes).
+        decoder: Box<BatchDecoder<'m>>,
+    },
+    Engine {
+        assistant: Arc<MpiRical>,
+        engine: Engine,
+    },
 }
 
 impl Backend<'_> {
+    fn assistant(&self) -> &MpiRical {
+        match self {
+            Backend::Inline { assistant, .. } => assistant,
+            Backend::Engine { assistant, .. } => assistant,
+        }
+    }
+
     fn submit(&mut self, req: BatchRequest) -> RequestId {
         match self {
             // Engine tickets and decoder ids are both dense u64 sequences,
             // so the service can expose one `RequestId` currency for both.
-            Backend::Inline(dec) => dec.submit(req),
-            Backend::Sharded(engine) => RequestId::from_raw(engine.submit(req).raw()),
+            Backend::Inline { decoder, .. } => decoder.submit(req),
+            Backend::Engine { engine, .. } => RequestId::from_raw(engine.submit(req).raw()),
         }
     }
 
     fn cancel(&mut self, id: RequestId) -> bool {
         match self {
-            Backend::Inline(dec) => dec.cancel(id),
-            Backend::Sharded(engine) => engine.cancel(EngineTicket::from_raw(id.raw())),
+            Backend::Inline { decoder, .. } => decoder.cancel(id),
+            Backend::Engine { engine, .. } => engine.cancel(EngineTicket::from_raw(id.raw())),
         }
     }
 
     fn poll(&mut self, id: RequestId) -> PollResult {
         match self {
-            Backend::Inline(dec) => dec.poll(id),
-            Backend::Sharded(engine) => engine.poll(EngineTicket::from_raw(id.raw())),
+            Backend::Inline { decoder, .. } => decoder.poll(id),
+            Backend::Engine { engine, .. } => engine.poll(EngineTicket::from_raw(id.raw())),
         }
     }
 
     fn pending(&self) -> usize {
         match self {
-            Backend::Inline(dec) => dec.pending(),
-            Backend::Sharded(engine) => engine.pending(),
+            Backend::Inline { decoder, .. } => decoder.pending(),
+            Backend::Engine { engine, .. } => engine.pending(),
         }
     }
 }
@@ -253,8 +244,8 @@ impl<'m> SuggestService<'m> {
     /// Service decoding at most `max_batch` lanes concurrently; further
     /// submissions queue and join as lanes free up. A beam-configured
     /// artifact reserves `decode.beam` lanes per request, so the lane count
-    /// is raised to at least the beam width. The scheduler's weights are
-    /// prepared once here for the artifact's precision — an `Int8` artifact
+    /// is raised to at least the beam width. The scheduler serves the
+    /// artifact's prepared weights for its precision — an `Int8` artifact
     /// serves every request through the quantized kernels.
     ///
     /// # Panics
@@ -267,114 +258,45 @@ impl<'m> SuggestService<'m> {
             max_batch >= 1,
             "SuggestService needs at least one lane (got max_batch = 0)"
         );
-        if let Err(e) = assistant.decode.validate() {
-            panic!("invalid artifact decode options: {e}");
-        }
-        let m = &assistant.model;
-        let lanes = max_batch.max(assistant.decode.beam);
-        let decoder = match assistant.decode.precision {
-            mpirical_model::Precision::F32 => BatchDecoder::new(&m.store, &m.params, &m.cfg, lanes),
-            // Borrow the artifact's load-time quantized weights — the
-            // service never re-quantizes.
-            mpirical_model::Precision::Int8 => BatchDecoder::with_weights(
-                &m.store,
-                &m.params,
-                &m.cfg,
-                lanes,
-                std::borrow::Cow::Borrowed(assistant.int8_weights()),
-            ),
-        };
-        SuggestService {
-            assistant: AssistantHandle::Borrowed(assistant),
-            backend: Backend::Inline(Box::new(decoder)),
-            health: HashMap::new(),
-            tickets: HashMap::new(),
-            verify_queue: Vec::new(),
-            verify_done: HashMap::new(),
-        }
+        let decoder = Box::new(assistant.batch_decoder(max_batch));
+        SuggestService::with_backend(Backend::Inline { assistant, decoder })
     }
 
-    /// Service backed by a sharded multi-worker [`Engine`]: `workers`
-    /// threads each run a private scheduler over its own page pool, so
-    /// aggregate throughput scales with cores while `submit`/`poll`/
-    /// `cancel` stay ordinary synchronous calls. Suggestions are bitwise
-    /// identical to the inline service ([`new`](Self::new)) — the engine
-    /// only changes *where* a request decodes, never its numerics.
+    /// Service backed by a multi-worker [`Engine`] that **owns** the
+    /// artifact: `workers` threads each run a private scheduler, drawing
+    /// from one shared page pool and prefix index, so aggregate throughput
+    /// scales with cores while `submit`/`poll`/`cancel` stay ordinary
+    /// synchronous calls. The service carries an `Arc<MpiRical>`, so its
+    /// lifetime is `'static` and it is `Send` — a serving daemon can move
+    /// it into a dedicated service thread (the `mpirical-server` daemon
+    /// does exactly this). Suggestions are bitwise identical to the inline
+    /// service ([`new`](Self::new)) — the engine only changes *where* a
+    /// request decodes, never its numerics.
     ///
-    /// With a sharded backend, [`step`](Self::step) does not advance the
+    /// With an engine backend, [`step`](Self::step) does not advance the
     /// decode (workers run autonomously); it waits briefly and reports how
     /// many requests are still in flight, so existing
     /// `while service.step() > 0 {}` driver loops keep working.
-    pub fn sharded(assistant: &'m MpiRical, workers: usize) -> SuggestService<'m> {
-        let lanes = DEFAULT_MAX_BATCH.max(assistant.decode.beam);
-        SuggestService::sharded_with(
-            assistant,
-            EngineConfig {
-                workers,
-                max_batch: lanes,
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    /// [`sharded`](Self::sharded) with full [`EngineConfig`] control
-    /// (placement seed, per-worker lane count, aging bound, soft page
-    /// limit). The per-worker `max_batch` is raised to at least the
-    /// artifact's beam width so beam requests always fit one worker.
-    ///
-    /// # Panics
-    ///
-    /// If `cfg.workers` is 0 or the artifact's decode options are invalid.
-    pub fn sharded_with(assistant: &'m MpiRical, mut cfg: EngineConfig) -> SuggestService<'m> {
-        if let Err(e) = assistant.decode.validate() {
-            panic!("invalid artifact decode options: {e}");
-        }
-        cfg.max_batch = cfg.max_batch.max(assistant.decode.beam);
-        let engine = Engine::new(assistant.engine_model(), cfg);
-        SuggestService {
-            assistant: AssistantHandle::Borrowed(assistant),
-            backend: Backend::Sharded(engine),
-            health: HashMap::new(),
-            tickets: HashMap::new(),
-            verify_queue: Vec::new(),
-            verify_done: HashMap::new(),
-        }
-    }
-
-    /// [`sharded`](Self::sharded), but **owning** the artifact: the service
-    /// carries an `Arc<MpiRical>` instead of a borrow, so its lifetime is
-    /// `'static` and it is `Send` — a serving daemon can move it into a
-    /// dedicated service thread and keep it alive for the process lifetime
-    /// (the `mpirical-server` daemon does exactly this). Behaviour is
-    /// identical to the borrowed sharded service: same engine, same bitwise
-    /// outputs.
     pub fn owned(assistant: Arc<MpiRical>, workers: usize) -> SuggestService<'static> {
-        let lanes = DEFAULT_MAX_BATCH.max(assistant.decode.beam);
-        SuggestService::owned_with(
-            assistant,
-            EngineConfig {
-                workers,
-                max_batch: lanes,
-                ..EngineConfig::default()
-            },
-        )
+        SuggestService::owned_with(assistant, EngineConfig::with_workers(workers))
     }
 
-    /// [`owned`](Self::owned) with full [`EngineConfig`] control — the
-    /// owning counterpart of [`sharded_with`](Self::sharded_with).
+    /// [`owned`](Self::owned) with full [`EngineConfig`] control (placement
+    /// seed, per-worker lane count, aging bound, soft page limit). The
+    /// per-worker `max_batch` is raised to at least the artifact's beam
+    /// width so beam requests always fit one worker.
     ///
     /// # Panics
     ///
     /// If `cfg.workers` is 0 or the artifact's decode options are invalid.
-    pub fn owned_with(assistant: Arc<MpiRical>, mut cfg: EngineConfig) -> SuggestService<'static> {
-        if let Err(e) = assistant.decode.validate() {
-            panic!("invalid artifact decode options: {e}");
-        }
-        cfg.max_batch = cfg.max_batch.max(assistant.decode.beam);
-        let engine = Engine::new(assistant.engine_model(), cfg);
+    pub fn owned_with(assistant: Arc<MpiRical>, cfg: EngineConfig) -> SuggestService<'static> {
+        let engine = assistant.engine(cfg);
+        SuggestService::with_backend(Backend::Engine { assistant, engine })
+    }
+
+    fn with_backend(backend: Backend<'m>) -> SuggestService<'m> {
         SuggestService {
-            assistant: AssistantHandle::Owned(assistant),
-            backend: Backend::Sharded(engine),
+            backend,
             health: HashMap::new(),
             tickets: HashMap::new(),
             verify_queue: Vec::new(),
@@ -399,13 +321,14 @@ impl<'m> SuggestService<'m> {
     /// interactive keystroke requests) and an optional cap on generated
     /// tokens.
     pub fn submit_with(&mut self, c_source: &str, submit: SubmitOptions) -> RequestId {
-        let enc = self.assistant.encode_source(c_source);
+        let assistant = self.backend.assistant();
+        let enc = assistant.encode_source(c_source);
+        let req = assistant.request_from_encoded(&enc, submit);
+        let verifying = assistant.verify.is_some();
         let interactive = matches!(submit.priority, Priority::Interactive);
-        let id = self
-            .backend
-            .submit(self.assistant.request_from_encoded(&enc, submit));
+        let id = self.backend.submit(req);
         self.health.insert(id, enc.health);
-        if self.assistant.verify.is_some() {
+        if verifying {
             self.tickets.insert(
                 id,
                 Ticket {
@@ -424,10 +347,10 @@ impl<'m> SuggestService<'m> {
     pub fn cancel(&mut self, id: RequestId) -> bool {
         let cancelled = self.backend.cancel(id);
         // Inline cancellation is authoritative (single-threaded), so the
-        // verification context can be dropped now. A sharded cancel can
+        // verification context can be dropped now. An engine cancel can
         // race a concurrent completion — keep the context until poll
         // settles the outcome (its `Cancelled` branch drops it).
-        if cancelled && matches!(self.backend, Backend::Inline(_)) {
+        if cancelled && matches!(self.backend, Backend::Inline { .. }) {
             self.tickets.remove(&id);
         }
         cancelled
@@ -444,19 +367,19 @@ impl<'m> SuggestService<'m> {
     /// **only while no interactive decode is in flight**, so the closed
     /// loop never delays keystroke traffic. Remaining jobs complete at
     /// [`poll`](Self::poll) (synchronously) or on later idle steps.
-    /// With a sharded backend the workers decode autonomously — `step`
+    /// With an engine backend the workers decode autonomously — `step`
     /// waits briefly for progress and returns the number of requests still
     /// in flight instead, so `while service.step() > 0 {}` loops drive
     /// both backends.
     pub fn step(&mut self) -> usize {
         let n = match &mut self.backend {
-            Backend::Inline(dec) => dec.step(),
-            Backend::Sharded(engine) => {
+            Backend::Inline { decoder, .. } => decoder.step(),
+            Backend::Engine { engine, .. } => {
                 engine.drain_for(Duration::from_millis(1));
                 engine.pending()
             }
         };
-        if self.assistant.verify.is_some() {
+        if self.backend.assistant().verify.is_some() {
             self.sweep_finished();
             if !self.interactive_in_flight() {
                 self.verify_next();
@@ -469,10 +392,10 @@ impl<'m> SuggestService<'m> {
     /// verifying artifact, all queued verification work).
     pub fn run(&mut self) {
         match &mut self.backend {
-            Backend::Inline(dec) => dec.run(),
-            Backend::Sharded(engine) => engine.drain(),
+            Backend::Inline { decoder, .. } => decoder.run(),
+            Backend::Engine { engine, .. } => engine.drain(),
         }
-        if self.assistant.verify.is_some() {
+        if self.backend.assistant().verify.is_some() {
             self.sweep_finished();
             while self.verify_next() {}
         }
@@ -480,19 +403,19 @@ impl<'m> SuggestService<'m> {
 
     /// Tear the service down and return the final page stats, taken
     /// **after** every decoder has dropped its lanes and the shared
-    /// prefix index has been cleared (a sharded backend runs one pool
+    /// prefix index has been cleared (an engine backend runs one pool
     /// across all workers, so the vector has a single entry either way).
     /// Live pages are zero here no matter what was still queued — the
     /// leak-check hook for tests and graceful daemon exit. Unredeemed
     /// tickets are abandoned.
     pub fn shutdown(self) -> Vec<PoolStats> {
         match self.backend {
-            Backend::Inline(dec) => {
-                let pool = dec.pool().clone();
-                drop(dec);
+            Backend::Inline { decoder, .. } => {
+                let pool = decoder.pool().clone();
+                drop(decoder);
                 vec![pool.stats()]
             }
-            Backend::Sharded(engine) => engine.shutdown(),
+            Backend::Engine { engine, .. } => engine.shutdown(),
         }
     }
 
@@ -537,14 +460,13 @@ impl<'m> SuggestService<'m> {
     /// Run the closed loop for one decoded ticket and park the finished
     /// poll result for redemption.
     fn finish_verified(&mut self, pending: PendingVerify) {
-        let vopts = self
-            .assistant
+        let assistant = self.backend.assistant();
+        let vopts = assistant
             .verify
             .as_ref()
             .expect("finish_verified only runs on verifying artifacts");
         let (mut suggestions, stats) =
-            self.assistant
-                .verify_and_rank(&pending.base, pending.hypotheses, vopts);
+            assistant.verify_and_rank(&pending.base, pending.hypotheses, vopts);
         let health = self.health.remove(&pending.id).unwrap_or_default();
         apply_health(&mut suggestions, &health);
         self.verify_done.insert(
@@ -566,55 +488,29 @@ impl<'m> SuggestService<'m> {
     /// Worker threads decoding for this service (1 for the inline backend).
     pub fn workers(&self) -> usize {
         match &self.backend {
-            Backend::Inline(_) => 1,
-            Backend::Sharded(engine) => engine.workers(),
+            Backend::Inline { .. } => 1,
+            Backend::Engine { engine, .. } => engine.workers(),
         }
     }
 
     /// Bulk lane preemptions performed so far (groups that yielded lanes
     /// to interactive arrivals and later resumed), summed over workers on
-    /// a sharded backend.
+    /// an engine backend.
     pub fn preemptions(&self) -> u64 {
         match &self.backend {
-            Backend::Inline(dec) => dec.preemptions(),
-            Backend::Sharded(engine) => engine.preemptions(),
-        }
-    }
-
-    /// The aging bound in scheduler steps: queued bulk work is promoted to
-    /// the interactive class after waiting this long (starvation bound).
-    pub fn aging_steps(&self) -> u64 {
-        match &self.backend {
-            Backend::Inline(dec) => dec.aging_steps(),
-            Backend::Sharded(engine) => engine.aging_steps(),
-        }
-    }
-
-    /// Tune the aging bound (see [`aging_steps`](Self::aging_steps)).
-    ///
-    /// # Panics
-    ///
-    /// On a sharded backend — worker schedulers are configured at
-    /// construction; set [`EngineConfig::aging_steps`] and build with
-    /// [`sharded_with`](Self::sharded_with) instead.
-    pub fn set_aging_steps(&mut self, steps: u64) {
-        match &mut self.backend {
-            Backend::Inline(dec) => dec.set_aging_steps(steps),
-            Backend::Sharded(_) => panic!(
-                "a sharded service configures aging at construction \
-                 (EngineConfig::aging_steps via SuggestService::sharded_with)"
-            ),
+            Backend::Inline { decoder, .. } => decoder.preemptions(),
+            Backend::Engine { engine, .. } => engine.preemptions(),
         }
     }
 
     /// Telemetry of the scheduler's page pool: live/peak/shared page
     /// counts, COW copy count, and byte sizes — the serving-memory numbers
-    /// a daemon exports. A sharded backend allocates all workers' lanes
+    /// a daemon exports. An engine backend allocates all workers' lanes
     /// from one shared pool, so these are already fleet-wide numbers.
     pub fn pool_stats(&self) -> PoolStats {
         match &self.backend {
-            Backend::Inline(dec) => dec.pool_stats(),
-            Backend::Sharded(engine) => {
+            Backend::Inline { decoder, .. } => decoder.pool_stats(),
+            Backend::Engine { engine, .. } => {
                 let per_worker = engine.pool_stats();
                 let mut total = per_worker.first().copied().unwrap_or_default();
                 for s in &per_worker[1..] {
@@ -625,28 +521,18 @@ impl<'m> SuggestService<'m> {
         }
     }
 
-    /// Requests admitted by sharing a retained prefill that covered the
-    /// **whole** prompt (the IDE-retrigger fast path) instead of
-    /// prefilling from scratch. Sharded backends share one radix index
-    /// across workers, so a prefill retained on one worker is a hit on
-    /// any other. Partial (page-aligned) prefix reuse is reported by
-    /// [`prefix_stats`](Self::prefix_stats).
-    pub fn prefix_hits(&self) -> u64 {
-        match &self.backend {
-            Backend::Inline(dec) => dec.prefix_hits(),
-            Backend::Sharded(engine) => engine.prefix_hits(),
-        }
-    }
-
-    /// Full prefix-sharing telemetry from the radix index: exact hits,
-    /// partial (page-aligned) hits, misses, rows served from shared pages
-    /// vs. freshly prefilled, plus insertion/eviction churn. The
+    /// Full prefix-sharing telemetry from the radix index: exact hits
+    /// (whole prompt served from a retained prefill — the IDE-retrigger
+    /// fast path), partial (page-aligned) hits, misses, rows served from
+    /// shared pages vs. freshly prefilled, plus insertion/eviction churn.
+    /// An engine backend shares one index across workers, so a prefill
+    /// retained on one worker is a hit on any other. The
     /// [`PrefixStats::hit_rate`] is the headline cache-effectiveness
     /// number a daemon exports.
     pub fn prefix_stats(&self) -> PrefixStats {
         match &self.backend {
-            Backend::Inline(dec) => dec.prefix_stats(),
-            Backend::Sharded(engine) => engine.prefix_stats(),
+            Backend::Inline { decoder, .. } => decoder.prefix_stats(),
+            Backend::Engine { engine, .. } => engine.prefix_stats(),
         }
     }
 
@@ -714,10 +600,7 @@ impl<'m> SuggestService<'m> {
     }
 
     fn suggestions_from(&self, ids: &[usize]) -> Vec<Suggestion> {
-        calls_from_ids(ids, &self.assistant.model.vocab)
-            .into_iter()
-            .map(Suggestion::from)
-            .collect()
+        self.backend.assistant().suggestions_from(ids)
     }
 }
 
@@ -1174,11 +1057,11 @@ mod tests {
         // its prefill instead of re-running it.
         let again = service.submit(buffers[0]);
         service.run();
-        assert_eq!(service.prefix_hits(), 1);
+        assert_eq!(service.prefix_stats().hits, 1);
         assert_eq!(take(&mut service, again), assistant.suggest(buffers[0]));
     }
 
-    /// The sharded multi-worker backend returns suggestion-for-suggestion
+    /// The multi-worker engine backend returns suggestion-for-suggestion
     /// identical results to the inline single-scheduler service — the
     /// engine changes where requests decode, never what they produce.
     #[test]
@@ -1198,7 +1081,7 @@ mod tests {
             .map(|t| take(&mut inline, t))
             .collect();
 
-        let mut sharded = SuggestService::sharded(&assistant, 2);
+        let mut sharded = SuggestService::owned(Arc::new(assistant.clone()), 2);
         assert_eq!(sharded.workers(), 2);
         let tickets: Vec<_> = buffers.iter().map(|b| sharded.submit(b)).collect();
         sharded.run();
@@ -1209,13 +1092,13 @@ mod tests {
         }
     }
 
-    /// A sharded service drives the daemon event loop exactly like the
-    /// inline one: `step() > 0` while work is in flight, lifecycle states
-    /// via `poll`, cancellation included.
+    /// An engine-backed service drives the daemon event loop exactly like
+    /// the inline one: `step() > 0` while work is in flight, lifecycle
+    /// states via `poll`, cancellation included.
     #[test]
     fn sharded_service_step_loop_and_cancel() {
         let assistant = tiny_assistant();
-        let mut service = SuggestService::sharded(&assistant, 2);
+        let mut service = SuggestService::owned(Arc::new(assistant.clone()), 2);
         let keep = service.submit("int main() { int rank; return 0; }");
         let drop_it = service.submit("int main() { double local = 0.0; return 0; }");
         let was_pending = service.cancel(drop_it);
@@ -1274,7 +1157,7 @@ mod tests {
             got
         });
         let got = handle.join().expect("service thread");
-        assert_eq!(got, reference, "owned sharded == borrowed inline");
+        assert_eq!(got, reference, "owned engine == borrowed inline");
     }
 
     /// Every `SuggestPoll` state survives a JSON round-trip unchanged —

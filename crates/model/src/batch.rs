@@ -195,7 +195,7 @@ pub enum Priority {
 }
 
 /// Per-request submission knobs, carried by [`BatchRequest`] and flowing
-/// through `MpiRical::batch_request` → [`BatchDecoder::submit`] and the
+/// through `MpiRical::request_from_encoded` → [`BatchDecoder::submit`] and the
 /// service layer's `submit_with`. Serializable so a network daemon can
 /// carry it verbatim inside its wire `Submit` request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -582,7 +582,6 @@ pub struct BatchDecoder<'m> {
     /// [`crate::radix`]); private by default, fleet-shared via
     /// [`with_shared`](Self::with_shared). Its snapshots live in `pool`.
     prefix: PrefixIndex,
-    prefix_hits: u64,
     scratch: BatchScratch,
     logits: Vec<f32>,
     next_id: u64,
@@ -718,7 +717,6 @@ impl<'m> BatchDecoder<'m> {
             done: HashMap::new(),
             cancelled: BTreeSet::new(),
             prefix,
-            prefix_hits: 0,
             scratch: BatchScratch::new(cfg, max_batch),
             logits: vec![0.0; max_batch * cfg.vocab_size],
             next_id: 0,
@@ -911,13 +909,6 @@ impl<'m> BatchDecoder<'m> {
     /// Current page-pool telemetry: live/peak/shared pages, COW copies.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Requests admitted by forking a retained prefill that covered their
-    /// **whole** prompt — prefill skipped outright. Partial-prefix shares
-    /// show up in [`prefix_stats`](Self::prefix_stats) instead.
-    pub fn prefix_hits(&self) -> u64 {
-        self.prefix_hits
     }
 
     /// Telemetry of the radix prefix index behind this scheduler: full and
@@ -1168,10 +1159,7 @@ impl<'m> BatchDecoder<'m> {
                 // still shares the cross-attention projections.
                 let (cache, snapshotted) = match self.prefix.lookup(key, &req.enc_out, &req.prompt)
                 {
-                    Some((cache, rows)) if rows >= needed => {
-                        self.prefix_hits += 1;
-                        (cache, true)
-                    }
+                    Some((cache, rows)) if rows >= needed => (cache, true),
                     Some((cache, _)) => (cache, false),
                     None => {
                         let cache = DecoderCache::new_in_pool(
@@ -2219,11 +2207,11 @@ mod tests {
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         let a = dec.submit(BatchRequest::greedy(e.clone(), 18));
         dec.run();
-        assert_eq!(dec.prefix_hits(), 0, "first submission prefills");
+        assert_eq!(dec.prefix_stats().hits, 0, "first submission prefills");
         let b = dec.submit(BatchRequest::greedy(e.clone(), 18));
         let c = dec.submit(BatchRequest::greedy(e, 18));
         dec.run();
-        assert_eq!(dec.prefix_hits(), 2, "twins fork the snapshot");
+        assert_eq!(dec.prefix_stats().hits, 2, "twins fork the snapshot");
         assert_eq!(take(&mut dec, a), reference);
         assert_eq!(take(&mut dec, b), reference);
         assert_eq!(take(&mut dec, c), reference);
@@ -2271,14 +2259,17 @@ mod tests {
             1,
             "only the unmatched suffix is prefilled"
         );
-        assert_eq!(dec.prefix_hits(), 0, "a partial share is not a full hit");
+        assert_eq!(
+            dec.prefix_stats().hits,
+            0,
+            "a partial share is not a full hit"
+        );
 
         // An identical resubmit of the base prompt skips prefill outright.
         let mut req = BatchRequest::greedy(e, 24);
         req.prompt = base;
         let c = dec.submit(req);
         dec.run();
-        assert_eq!(dec.prefix_hits(), 1);
         assert_eq!(dec.prefix_stats().hits, 1);
 
         assert_eq!(take(&mut dec, a), refs[0]);
@@ -2296,7 +2287,7 @@ mod tests {
         let hot = enc(&store, &params, &cfg, 0);
         let mut dec = BatchDecoder::new(&store, &params, &cfg, 4);
         dec.decode_all(vec![BatchRequest::greedy(hot.clone(), 10)]);
-        assert_eq!(dec.prefix_hits(), 0, "first submission prefills");
+        assert_eq!(dec.prefix_stats().hits, 0, "first submission prefills");
         for seed in 1..=PREFIX_CACHE_CAP {
             // Re-touch the hot prompt, then churn in a distinct one.
             dec.decode_all(vec![
@@ -2304,11 +2295,11 @@ mod tests {
                 BatchRequest::greedy(enc(&store, &params, &cfg, seed), 10),
             ]);
         }
-        let hits_before = dec.prefix_hits();
+        let hits_before = dec.prefix_stats().hits;
         assert_eq!(hits_before, PREFIX_CACHE_CAP as u64, "every re-touch hit");
         dec.decode_all(vec![BatchRequest::greedy(hot, 10)]);
         assert_eq!(
-            dec.prefix_hits(),
+            dec.prefix_stats().hits,
             hits_before + 1,
             "hot entry survived PREFIX_CACHE_CAP insertions (LRU, not FIFO)"
         );

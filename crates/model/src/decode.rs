@@ -11,11 +11,11 @@
 //! costs refcount bumps, not row copies — and selects top-k next tokens
 //! with `select_nth_unstable_by`, O(V) instead of a full-vocabulary sort.
 //!
-//! [`greedy_decode_replay`] / [`beam_decode_replay`] keep the original
-//! cache-free path — replaying the whole decoder prefix on a fresh tape
-//! every step, O(T²·L) — as the reference implementation: the equivalence
-//! tests below pin the cached engine's logits to it step by step, and the
-//! `decode` criterion bench group measures the speedup against it.
+//! [`replay_decode_with`] keeps the original cache-free path — replaying
+//! the whole decoder prefix on a fresh tape every step, O(T²·L) — as the
+//! reference implementation: the equivalence tests below pin the cached
+//! engine's logits to it step by step, and the `decode` criterion bench
+//! group measures the speedup against it.
 //!
 //! For serving N concurrent generations, see
 //! [`BatchDecoder`](crate::batch::BatchDecoder), which runs this module's
@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use mpirical_model::transformer::build_params;
-//! use mpirical_model::{decode_with, greedy_decode, DecodeOptions, ModelConfig};
+//! use mpirical_model::{decode_with, DecodeOptions, ModelConfig};
 //! use mpirical_tensor::ParamStore;
 //!
 //! let mut cfg = ModelConfig::tiny();
@@ -34,11 +34,12 @@
 //! let params = build_params(&cfg, &mut store, 3);
 //! let src = [1, 6, 7, 2]; // <sos> … <eos>
 //!
-//! // `beam: 1` decodes exactly the greedy tokens; `min_len` can force
-//! // longer outputs by suppressing `<eos>`.
-//! let greedy = greedy_decode(&store, &params, &cfg, &src, 12);
-//! let opts = DecodeOptions { beam: 1, min_len: 0, ..Default::default() };
-//! assert_eq!(decode_with(&store, &params, &cfg, &src, 12, opts), greedy);
+//! // The default options decode greedily; `beam > 1` runs beam search.
+//! let greedy = decode_with(&store, &params, &cfg, &src, 12, DecodeOptions::default());
+//! assert!(greedy.len() < 12);
+//! // `min_len` forces longer outputs by suppressing `<eos>`.
+//! let opts = DecodeOptions { min_len: 6, ..Default::default() };
+//! assert!(decode_with(&store, &params, &cfg, &src, 12, opts).len() >= 6);
 //! ```
 
 use crate::config::ModelConfig;
@@ -109,49 +110,6 @@ pub fn encode_source(
     tape.value(enc_out).clone()
 }
 
-/// Greedy decoding: returns generated ids *without* the leading `<sos>` or
-/// trailing `<eos>`.
-pub fn greedy_decode(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-) -> Vec<usize> {
-    decode_with(
-        store,
-        params,
-        cfg,
-        src_ids,
-        max_len,
-        DecodeOptions::default(),
-    )
-}
-
-/// Beam-search decoding with length-normalized scoring. `beam = 1` is
-/// equivalent to greedy. Returns the best hypothesis without `<sos>`/`<eos>`.
-pub fn beam_decode(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-    beam: usize,
-) -> Vec<usize> {
-    decode_with(
-        store,
-        params,
-        cfg,
-        src_ids,
-        max_len,
-        DecodeOptions {
-            beam,
-            min_len: 0,
-            ..Default::default()
-        },
-    )
-}
-
 /// KV-cached generation with explicit options: runs the encoder once, then
 /// decodes via [`decode_encoded`].
 pub fn decode_with(
@@ -208,11 +166,11 @@ pub fn decode_encoded_prompted(
 
 /// [`decode_encoded_prompted`] running the **int8 quantized** projection
 /// kernels against pre-quantized weights. Long-lived callers (the
-/// assistant artifact, the service layer, benchmarks) quantize once via
+/// assistant artifact, benchmarks) quantize once via
 /// [`QuantDecoderWeights::new`] and decode any number of requests through
-/// this entry point; one-shot callers can instead set
-/// [`DecodeOptions::precision`] to [`Precision::Int8`] on any decode entry
-/// point and the weights are quantized per call.
+/// this entry point or [`decode_encoded_prompted_all`]; one-shot callers
+/// can instead set [`DecodeOptions::precision`] to [`Precision::Int8`] on
+/// any decode entry point and the weights are quantized per call.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_encoded_prompted_quant(
     store: &ParamStore,
@@ -224,56 +182,36 @@ pub fn decode_encoded_prompted_quant(
     max_len: usize,
     opts: DecodeOptions,
 ) -> Vec<usize> {
-    let opts = DecodeOptions {
-        precision: Precision::Int8,
-        ..opts
-    };
     decode_prompted_impl(store, params, cfg, prompt, max_len, opts, Some(qw), || {
         DecoderCache::new(store, params, cfg, enc_out)
     })
 }
 
 /// [`decode_encoded_prompted`], but returning **every** final hypothesis'
-/// generated ids, best-first by length-normalized score. Greedy decoding
-/// (`beam == 1`) yields exactly one hypothesis; beam search yields the full
-/// final beam (up to `opts.beam` entries). The first entry is always
-/// bitwise-identical to what [`decode_encoded_prompted`] returns — the
-/// closed-loop verifier relies on this to re-rank candidates without
-/// perturbing the unverified output.
+/// generated ids, best-first by length-normalized score, optionally over
+/// prepared int8 weights. Greedy decoding (`beam == 1`) yields exactly one
+/// hypothesis; beam search yields the full final beam (up to `opts.beam`
+/// entries). The first entry is always bitwise-identical to what
+/// [`decode_encoded_prompted`] (or, with `qw`,
+/// [`decode_encoded_prompted_quant`]) returns — the closed-loop verifier
+/// relies on this to re-rank candidates without perturbing the unverified
+/// output.
+///
+/// `qw: Some` decodes through the int8 projection kernels against those
+/// pre-quantized weights, whatever `opts.precision` says; `None` follows
+/// `opts.precision` (quantizing per call for [`Precision::Int8`]).
 #[allow(clippy::too_many_arguments)]
 pub fn decode_encoded_prompted_all(
     store: &ParamStore,
     params: &TransformerParams,
     cfg: &ModelConfig,
+    qw: Option<&QuantDecoderWeights>,
     enc_out: &Tensor,
     prompt: &[usize],
     max_len: usize,
     opts: DecodeOptions,
 ) -> Vec<Vec<usize>> {
-    decode_prompted_all_impl(store, params, cfg, prompt, max_len, opts, None, || {
-        DecoderCache::new(store, params, cfg, enc_out)
-    })
-}
-
-/// [`decode_encoded_prompted_all`] running the int8 quantized projection
-/// kernels against pre-quantized weights (see
-/// [`decode_encoded_prompted_quant`]).
-#[allow(clippy::too_many_arguments)]
-pub fn decode_encoded_prompted_all_quant(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    qw: &QuantDecoderWeights,
-    enc_out: &Tensor,
-    prompt: &[usize],
-    max_len: usize,
-    opts: DecodeOptions,
-) -> Vec<Vec<usize>> {
-    let opts = DecodeOptions {
-        precision: Precision::Int8,
-        ..opts
-    };
-    decode_prompted_all_impl(store, params, cfg, prompt, max_len, opts, Some(qw), || {
+    decode_prompted_all_impl(store, params, cfg, prompt, max_len, opts, qw, || {
         DecoderCache::new(store, params, cfg, enc_out)
     })
 }
@@ -355,14 +293,14 @@ fn decode_prompted_all_impl(
         "beam width must be at least 1 (got 0); use beam = 1 for greedy"
     );
     assert!(!prompt.is_empty(), "prompt must hold at least <sos>");
-    // Quantize on the fly when the options ask for int8 and the caller did
-    // not hand over prebuilt weights (one pass over the decoder weights —
-    // long-lived callers use `decode_encoded_prompted_quant` to avoid it).
+    // Prebuilt int8 weights win; otherwise quantize on the fly when the
+    // options ask for int8 (one pass over the decoder weights — long-lived
+    // callers hand over a prepared set to avoid it).
     let built;
-    let qw = match (opts.precision, qw) {
-        (Precision::F32, _) => None,
-        (Precision::Int8, Some(q)) => Some(q),
-        (Precision::Int8, None) => {
+    let qw = match (qw, opts.precision) {
+        (Some(q), _) => Some(q),
+        (None, Precision::F32) => None,
+        (None, Precision::Int8) => {
             built = QuantDecoderWeights::new(store, params);
             Some(&built)
         }
@@ -668,49 +606,6 @@ fn beam_cached(
 // Reference implementation: full prefix replay, no cache
 // ---------------------------------------------------------------------------
 
-/// Greedy decoding by full prefix replay (no KV cache — O(T²·L)). Reference
-/// implementation and benchmark baseline for [`greedy_decode`].
-pub fn greedy_decode_replay(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-) -> Vec<usize> {
-    replay_decode_with(
-        store,
-        params,
-        cfg,
-        src_ids,
-        max_len,
-        DecodeOptions::default(),
-    )
-}
-
-/// Beam-search decoding by full prefix replay. Reference implementation and
-/// benchmark baseline for [`beam_decode`].
-pub fn beam_decode_replay(
-    store: &ParamStore,
-    params: &TransformerParams,
-    cfg: &ModelConfig,
-    src_ids: &[usize],
-    max_len: usize,
-    beam: usize,
-) -> Vec<usize> {
-    replay_decode_with(
-        store,
-        params,
-        cfg,
-        src_ids,
-        max_len,
-        DecodeOptions {
-            beam,
-            min_len: 0,
-            ..Default::default()
-        },
-    )
-}
-
 /// Replay-path generation with explicit options (benchmarks force fixed
 /// lengths through `min_len` on both engines for a fair comparison).
 pub fn replay_decode_with(
@@ -836,6 +731,14 @@ mod tests {
     use crate::train::{train, Example, TrainConfig};
     use crate::transformer::build_params;
 
+    /// Default options at beam width `width` (`1` is greedy).
+    fn beam(width: usize) -> DecodeOptions {
+        DecodeOptions {
+            beam: width,
+            ..Default::default()
+        }
+    }
+
     /// Train a tiny copy model, then decode.
     fn trained_copy_model() -> (ModelConfig, ParamStore, TransformerParams) {
         let mut cfg = ModelConfig::tiny();
@@ -871,7 +774,7 @@ mod tests {
         let mut total = 0;
         for a in 6..12usize {
             for b in 6..12usize {
-                let out = greedy_decode(&store, &params, &cfg, &[SOS, a, b, EOS], 8);
+                let out = decode_with(&store, &params, &cfg, &[SOS, a, b, EOS], 8, beam(1));
                 total += 1;
                 if out == vec![a, b] {
                     correct += 1;
@@ -887,7 +790,7 @@ mod tests {
     #[test]
     fn greedy_respects_max_len() {
         let (cfg, store, params) = trained_copy_model();
-        let out = greedy_decode(&store, &params, &cfg, &[SOS, 7, 8, EOS], 2);
+        let out = decode_with(&store, &params, &cfg, &[SOS, 7, 8, EOS], 2, beam(1));
         assert!(out.len() <= 2);
     }
 
@@ -896,8 +799,8 @@ mod tests {
         let (cfg, store, params) = trained_copy_model();
         for a in 6..9usize {
             let src = [SOS, a, a + 1, EOS];
-            let g = greedy_decode(&store, &params, &cfg, &src, 8);
-            let b = beam_decode(&store, &params, &cfg, &src, 8, 1);
+            let g = decode_with(&store, &params, &cfg, &src, 8, beam(1));
+            let b = decode_with(&store, &params, &cfg, &src, 8, beam(1));
             assert_eq!(g, b, "beam=1 must equal greedy for src {src:?}");
         }
     }
@@ -909,8 +812,8 @@ mod tests {
         // should emit the same (correct) output.
         let (cfg, store, params) = trained_copy_model();
         let src = [SOS, 9, 10, EOS];
-        let g = greedy_decode(&store, &params, &cfg, &src, 8);
-        let b = beam_decode(&store, &params, &cfg, &src, 8, 3);
+        let g = decode_with(&store, &params, &cfg, &src, 8, beam(1));
+        let b = decode_with(&store, &params, &cfg, &src, 8, beam(3));
         assert_eq!(g, b);
     }
 
@@ -946,15 +849,15 @@ mod tests {
         for a in 6..10usize {
             let src = [SOS, a, a + 2, EOS];
             assert_eq!(
-                greedy_decode(&store, &params, &cfg, &src, 10),
-                greedy_decode_replay(&store, &params, &cfg, &src, 10),
+                decode_with(&store, &params, &cfg, &src, 10, beam(1)),
+                replay_decode_with(&store, &params, &cfg, &src, 10, beam(1)),
                 "greedy divergence for {src:?}"
             );
-            for beam in [2usize, 3] {
+            for width in [2usize, 3] {
                 assert_eq!(
-                    beam_decode(&store, &params, &cfg, &src, 10, beam),
-                    beam_decode_replay(&store, &params, &cfg, &src, 10, beam),
-                    "beam={beam} divergence for {src:?}"
+                    decode_with(&store, &params, &cfg, &src, 10, beam(width)),
+                    replay_decode_with(&store, &params, &cfg, &src, 10, beam(width)),
+                    "beam={width} divergence for {src:?}"
                 );
             }
         }
@@ -982,7 +885,7 @@ mod tests {
         let (cfg, store, params) = trained_copy_model();
         let src = [SOS, 6, 7, EOS];
         // Unconstrained greedy stops after ~2 tokens on the copy task.
-        let free = greedy_decode(&store, &params, &cfg, &src, 12);
+        let free = decode_with(&store, &params, &cfg, &src, 12, beam(1));
         assert!(free.len() < 6);
         let forced = decode_with(
             &store,

@@ -64,7 +64,6 @@ use crate::infer::{DecoderWeights, Precision};
 use crate::paged::{PagePool, PoolStats};
 use crate::radix::{PrefixIndex, PrefixStats};
 use crate::transformer::TransformerParams;
-use crate::Seq2SeqModel;
 use mpirical_tensor::ParamStore;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
@@ -117,16 +116,6 @@ impl EngineModel {
             cfg,
             weights,
         }
-    }
-
-    /// Bundle a copy of a checkpointed artifact.
-    pub fn from_model(model: &Seq2SeqModel, precision: Precision) -> EngineModel {
-        EngineModel::new(
-            model.store.clone(),
-            model.params.clone(),
-            model.cfg.clone(),
-            precision,
-        )
     }
 
     /// The projection precision the weights were prepared for; every
@@ -543,13 +532,6 @@ impl Engine {
     pub fn preemptions(&self) -> u64 {
         let st = self.shared.state.lock();
         st.sched_stats.iter().map(|s| s.preemptions).sum()
-    }
-
-    /// Full prefix hits — admissions whose whole prompt was covered by a
-    /// retained prefill. The index is shared by every worker, so hits occur
-    /// between requests regardless of which worker each landed on.
-    pub fn prefix_hits(&self) -> u64 {
-        self.shared.prefix.stats().hits
     }
 
     /// Telemetry of the fleet-wide radix prefix index: full/partial hits,

@@ -48,10 +48,9 @@ pub use batch::{
 pub use bpe::Bpe;
 pub use config::ModelConfig;
 pub use decode::{
-    beam_decode, beam_decode_replay, decode_encoded, decode_encoded_prompted,
-    decode_encoded_prompted_all, decode_encoded_prompted_all_quant,
-    decode_encoded_prompted_contiguous, decode_encoded_prompted_quant, decode_with, greedy_decode,
-    greedy_decode_replay, replay_decode_with, DecodeOptions,
+    decode_encoded, decode_encoded_prompted, decode_encoded_prompted_all,
+    decode_encoded_prompted_contiguous, decode_encoded_prompted_quant, decode_with,
+    replay_decode_with, DecodeOptions,
 };
 pub use engine::{Engine, EngineConfig, EngineModel, EngineTicket};
 pub use infer::{
@@ -110,26 +109,6 @@ impl Seq2SeqModel {
         )
     }
 
-    /// Greedy generation from source ids (KV-cached).
-    pub fn generate(&self, src_ids: &[usize], max_len: usize) -> Vec<usize> {
-        greedy_decode(&self.store, &self.params, &self.cfg, src_ids, max_len)
-    }
-
-    /// Beam-search generation (KV-cached, one cache per hypothesis).
-    pub fn generate_beam(&self, src_ids: &[usize], max_len: usize, beam: usize) -> Vec<usize> {
-        beam_decode(&self.store, &self.params, &self.cfg, src_ids, max_len, beam)
-    }
-
-    /// Generation with explicit [`DecodeOptions`].
-    pub fn generate_with(
-        &self,
-        src_ids: &[usize],
-        max_len: usize,
-        opts: DecodeOptions,
-    ) -> Vec<usize> {
-        decode_with(&self.store, &self.params, &self.cfg, src_ids, max_len, opts)
-    }
-
     /// Teacher-forced metrics on a dataset: `(loss, seq_acc, tok_acc)`.
     pub fn evaluate(&self, examples: &[Example]) -> (f64, f64, f64) {
         evaluate(&self.store, &self.params, &self.cfg, examples)
@@ -184,10 +163,20 @@ mod tests {
     fn checkpoint_roundtrip_preserves_behaviour() {
         let m = tiny_model();
         let src = vec![SOS, m.vocab.id("int"), m.vocab.id("main"), EOS];
-        let out1 = m.generate(&src, 10);
+        let generate = |m: &Seq2SeqModel| {
+            decode_with(
+                &m.store,
+                &m.params,
+                &m.cfg,
+                &src,
+                10,
+                DecodeOptions::default(),
+            )
+        };
+        let out1 = generate(&m);
         let json = m.to_json();
         let m2 = Seq2SeqModel::from_json(&json).unwrap();
-        let out2 = m2.generate(&src, 10);
+        let out2 = generate(&m2);
         assert_eq!(out1, out2, "loaded model generates identically");
         assert_eq!(m2.vocab.id("MPI_Init"), m.vocab.id("MPI_Init"));
     }

@@ -99,9 +99,21 @@ impl Shared {
 }
 
 /// Clears a rank's pending-operation slot on every exit path of a blocking
-/// receive (match, error, abort wake-up, timeout).
+/// receive (match, error, abort wake-up) except a timeout: see
+/// [`keep`](PendingGuard::keep).
 struct PendingGuard<'a> {
     slot: &'a Mutex<Option<String>>,
+}
+
+impl PendingGuard<'_> {
+    /// Leave the slot registered. A rank whose receive timed out is still
+    /// stuck in that operation as far as its peers can tell; clearing it
+    /// would let a peer whose own (slightly later) deadline fires next
+    /// report a cycle with one rank missing, depending on which thread
+    /// happened to start first.
+    fn keep(self) {
+        std::mem::forget(self);
+    }
 }
 
 impl Drop for PendingGuard<'_> {
@@ -207,7 +219,7 @@ impl Comm {
         let deadline = Instant::now() + self.shared.timeout;
         *self.shared.pending[self.rank].lock() =
             Some(format!("recv(source={source:?}, tag={tag:?})"));
-        let _pending = PendingGuard {
+        let pending = PendingGuard {
             slot: &self.shared.pending[self.rank],
         };
         let mut mb = self.shared.mailboxes[self.rank].lock();
@@ -256,6 +268,7 @@ impl Comm {
                 .wait_until(&mut mb, deadline)
                 .timed_out();
             if timed_out {
+                pending.keep();
                 return Err(SimError::Deadlock {
                     rank: self.rank,
                     detail: format!("recv(source={source:?}, tag={tag:?}) timed out"),
@@ -305,7 +318,7 @@ impl Comm {
         let deadline = Instant::now() + self.shared.timeout;
         *self.shared.pending[self.rank].lock() =
             Some(format!("collective recv(source={source}, tag={tag})"));
-        let _pending = PendingGuard {
+        let pending = PendingGuard {
             slot: &self.shared.pending[self.rank],
         };
         let mut mb = self.shared.mailboxes[self.rank].lock();
@@ -347,6 +360,7 @@ impl Comm {
                 .wait_until(&mut mb, deadline)
                 .timed_out();
             if timed_out {
+                pending.keep();
                 return Err(SimError::Deadlock {
                     rank: self.rank,
                     detail: format!("collective recv from {source} (tag {tag}) timed out"),

@@ -165,7 +165,7 @@ fn main() {
         stats.pages_peak,
         stats.peak_bytes() / 1024,
         stats.cow_copies,
-        service.prefix_hits(),
+        service.prefix_stats().hits,
     );
 
     // Serving API v2: a background re-index job churns at Bulk priority;

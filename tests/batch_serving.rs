@@ -128,7 +128,7 @@ fn service_reports_paged_pool_and_prefix_sharing() {
     let again = service.submit(buffer);
     let thrice = service.submit(buffer);
     service.run();
-    assert_eq!(service.prefix_hits(), 2);
+    assert_eq!(service.prefix_stats().hits, 2);
     for t in [first, again, thrice] {
         assert_eq!(take(&mut service, t), expected);
     }
