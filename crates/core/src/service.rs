@@ -404,18 +404,19 @@ impl<'m> SuggestService<'m> {
     /// Tear the service down and return the final page stats, taken
     /// **after** every decoder has dropped its lanes and the shared
     /// prefix index has been cleared (an engine backend runs one pool
-    /// across all workers, so the vector has a single entry either way).
+    /// across all workers).
     /// Live pages are zero here no matter what was still queued — the
     /// leak-check hook for tests and graceful daemon exit. Unredeemed
     /// tickets are abandoned.
-    pub fn shutdown(self) -> Vec<PoolStats> {
+    pub fn shutdown(self) -> PoolStats {
         match self.backend {
             Backend::Inline { decoder, .. } => {
                 let pool = decoder.pool().clone();
                 drop(decoder);
-                vec![pool.stats()]
+                pool.stats()
             }
-            Backend::Engine { engine, .. } => engine.shutdown(),
+            // One shared pool: `Engine::shutdown` returns a single entry.
+            Backend::Engine { engine, .. } => engine.shutdown()[0],
         }
     }
 
@@ -510,14 +511,7 @@ impl<'m> SuggestService<'m> {
     pub fn pool_stats(&self) -> PoolStats {
         match &self.backend {
             Backend::Inline { decoder, .. } => decoder.pool_stats(),
-            Backend::Engine { engine, .. } => {
-                let per_worker = engine.pool_stats();
-                let mut total = per_worker.first().copied().unwrap_or_default();
-                for s in &per_worker[1..] {
-                    total.absorb(s);
-                }
-                total
-            }
+            Backend::Engine { engine, .. } => engine.pool_stats(),
         }
     }
 
@@ -1116,9 +1110,8 @@ mod tests {
         assert_eq!(got, assistant.suggest("int main() { int rank; return 0; }"));
         // A live service may retain prefix-cache snapshot pages; shutdown
         // drops every worker's decoder and must leave nothing behind.
-        for stats in service.shutdown() {
-            assert_eq!(stats.pages_live, 0, "worker leaked KV pages");
-        }
+        let stats = service.shutdown();
+        assert_eq!(stats.pages_live, 0, "worker leaked KV pages");
     }
 
     /// The owned service is what a daemon thread carries: `'static`, `Send`,
@@ -1151,9 +1144,8 @@ mod tests {
             service.run();
             let got: Vec<Vec<Suggestion>> =
                 tickets.into_iter().map(|t| take(&mut service, t)).collect();
-            for stats in service.shutdown() {
-                assert_eq!(stats.pages_live, 0, "owned service leaked KV pages");
-            }
+            let stats = service.shutdown();
+            assert_eq!(stats.pages_live, 0, "owned service leaked KV pages");
             got
         });
         let got = handle.join().expect("service thread");

@@ -2,14 +2,13 @@
 //! admission front-end.
 //!
 //! One `BatchDecoder` already overlaps N requests in lockstep, but a single
-//! scheduler is one thread: aggregate throughput stops at one core (plus
-//! whatever the fused kernels parallelize internally). The [`Engine`] scales
-//! out instead: each worker thread owns a private `BatchDecoder` scheduler
-//! — its own lanes and scheduler clock — while all workers draw pages from
-//! **one shared [`PagePool`]** and prefill snapshots from **one shared
-//! radix [`PrefixIndex`]** (see [`crate::radix`]): a prefix prefilled by
-//! any worker is COW-shared by a matching request landing on any other.
-//! The front-end routes requests to workers:
+//! scheduler is one thread: aggregate throughput stops at one core. The
+//! [`Engine`] scales out instead: each worker thread owns a private
+//! `BatchDecoder` scheduler — its own lanes and scheduler clock — while all
+//! workers draw pages from **one shared [`PagePool`]** and prefill snapshots
+//! from **one shared radix [`PrefixIndex`]** (see [`crate::radix`]): a
+//! prefix prefilled by any worker is COW-shared by a matching request
+//! landing on any other. The front-end routes requests to workers:
 //!
 //! * **Priority-aware placement.** Interactive requests are placed into a
 //!   specific worker's inbox at submit time, so they start decoding on the
@@ -93,23 +92,6 @@ impl EngineModel {
         precision: Precision,
     ) -> EngineModel {
         let weights = DecoderWeights::for_precision(&store, &params, precision);
-        EngineModel {
-            store,
-            params,
-            cfg,
-            weights,
-        }
-    }
-
-    /// Bundle a model around an already-prepared weight set (an artifact's
-    /// load-time quantized weights). `weights` must come from the same
-    /// `(store, params)`.
-    pub fn with_weights(
-        store: ParamStore,
-        params: TransformerParams,
-        cfg: ModelConfig,
-        weights: DecoderWeights,
-    ) -> EngineModel {
         EngineModel {
             store,
             params,
@@ -521,10 +503,9 @@ impl Engine {
     }
 
     /// Telemetry of the fleet-wide page pool (every worker draws from one
-    /// shared pool, so this is a single-entry list — the shape is kept for
-    /// callers that sum over entries).
-    pub fn pool_stats(&self) -> Vec<PoolStats> {
-        vec![self.shared.pool.stats()]
+    /// shared pool).
+    pub fn pool_stats(&self) -> PoolStats {
+        self.shared.pool.stats()
     }
 
     /// Preemptions across every worker's scheduler (bulk groups that

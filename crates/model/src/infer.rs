@@ -1081,8 +1081,9 @@ impl DecoderWeights {
 }
 
 /// Reusable packed activation buffers for [`decode_step_batch`]: one
-/// `[max_batch, dim]` slab per intermediate, so a lockstep step over N
-/// requests allocates nothing.
+/// `[max_batch, dim]` slab per intermediate plus one attention-score row
+/// that the lanes reuse in turn, so a lockstep step over N requests
+/// allocates nothing.
 ///
 /// Sized once for a `(config, max_batch)` pair; `decode_step_batch` panics
 /// if handed more lanes than the scratch was built for.
@@ -1096,11 +1097,9 @@ pub struct BatchScratch {
     ctx: Vec<f32>,
     proj: Vec<f32>,
     ff: Vec<f32>,
-    /// Per-lane attention-score rows (`[max_batch, scores_cap]`): each lane
-    /// owns a disjoint slab so the per-lane attention sections can run on
-    /// worker threads without sharing scratch.
+    /// One attention-score row (`max(max_dec_len, max_enc_len)`), reused
+    /// lane after lane: the per-lane attention sections run serially.
     scores: Vec<f32>,
-    scores_cap: usize,
     /// Memoized sinusoidal position rows (`[pos, d_model]`, grown on
     /// demand). `add_positional` burns ~d/2 `powf` calls per row; lanes in
     /// a batch usually sit at overlapping positions, so the scheduler
@@ -1139,10 +1138,8 @@ impl BatchScratch {
             proj: slab(),
             ff: vec![0.0; max_batch * cfg.d_ff],
             // Scores cover self-attention (≤ max_dec_len rows) and
-            // cross-attention (≤ max_enc_len rows), one slab per lane so
-            // lanes can attend in parallel.
-            scores: vec![0.0; max_batch * cfg.max_dec_len.max(cfg.max_enc_len)],
-            scores_cap: cfg.max_dec_len.max(cfg.max_enc_len),
+            // cross-attention (≤ max_enc_len rows).
+            scores: vec![0.0; cfg.max_dec_len.max(cfg.max_enc_len)],
             pos_rows: Vec::new(),
             q8: vec![0; max_batch * d.max(cfg.d_ff)],
             qscales: vec![0.0; max_batch],
@@ -1208,76 +1205,17 @@ macro_rules! fused_linear {
     };
 }
 
-/// Work threshold (in multiply-add-ish flops across all lanes) below which
-/// the per-lane sections of [`decode_step_batch`] stay serial: the crossbeam
-/// scope spawn cost only pays for itself on serving-scale shapes. Mirrors
-/// `matmul`'s `PAR_THRESHOLD` approach.
-const LANE_PAR_THRESHOLD: usize = 1 << 17;
-
-/// Test override: `MPIRICAL_LANE_PAR=<n>` forces the per-lane sections onto
-/// `n` threads regardless of the work estimate, so the property suites can
-/// exercise the threaded code paths at tiny shapes. Read once per process.
-fn lane_par_override() -> Option<usize> {
-    static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("MPIRICAL_LANE_PAR")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    })
-}
-
-/// Threads for a per-lane (embarrassingly parallel) section over `lanes`
-/// lanes of roughly `work_per_lane` flops each. Lanes never share state, and
-/// each lane's accumulation order is unchanged by the partitioning, so the
-/// thread count can never perturb a bit — it is purely a latency decision.
-fn lane_threads(lanes: usize, work_per_lane: usize) -> usize {
-    if lanes < 2 {
-        return 1;
-    }
-    if let Some(forced) = lane_par_override() {
-        return forced.min(lanes);
-    }
-    if lanes.saturating_mul(work_per_lane) < LANE_PAR_THRESHOLD {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(lanes)
-}
-
-/// LayerNorm one row per lane (`x[i·d..]` → `normed[i·d..]`), partitioning
-/// lanes across scoped threads when the batch is wide enough. Each row is
-/// normalized by the same [`ln_row`] the serial path calls, so the output is
-/// bitwise identical at any thread count.
+/// LayerNorm one row per lane (`x[i·d..]` → `normed[i·d..]`) with the same
+/// [`ln_row`] the single-request path calls.
 fn ln_rows_batch(b: usize, d: usize, x: &[f32], gamma: &Tensor, beta: &Tensor, normed: &mut [f32]) {
-    let threads = lane_threads(b, 10 * d);
-    if threads <= 1 {
-        for i in 0..b {
-            ln_row(
-                &x[i * d..(i + 1) * d],
-                gamma,
-                beta,
-                &mut normed[i * d..(i + 1) * d],
-            );
-        }
-        return;
+    for i in 0..b {
+        ln_row(
+            &x[i * d..(i + 1) * d],
+            gamma,
+            beta,
+            &mut normed[i * d..(i + 1) * d],
+        );
     }
-    let lanes_per = b.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (x_chunk, out_chunk) in x[..b * d]
-            .chunks(lanes_per * d)
-            .zip(normed[..b * d].chunks_mut(lanes_per * d))
-        {
-            scope.spawn(move |_| {
-                for (row, out) in x_chunk.chunks(d).zip(out_chunk.chunks_mut(d)) {
-                    ln_row(row, gamma, beta, out);
-                }
-            });
-        }
-    })
-    .expect("lane threads do not panic");
 }
 
 /// Process one decoder token for **each of N independent requests** in
@@ -1304,12 +1242,9 @@ fn ln_rows_batch(b: usize, d: usize, x: &[f32], gamma: &Tensor, beta: &Tensor, n
 /// not a numerical one. `decode::tests` and `batch::tests` pin this.
 ///
 /// The per-lane sections (LayerNorm rows, K/V append, self- and
-/// cross-attention) additionally partition lanes across crossbeam scoped
-/// threads above a work threshold — the same row-partition scheme `matmul`
-/// uses. Each lane's accumulation order is fixed regardless of which thread
-/// runs it, so the thread count affects latency only, never a bit of the
-/// logits (`tests/parallel_engine_props.rs` pins this under a forced
-/// thread-count override).
+/// cross-attention) run serially, lane after lane, on the calling thread.
+/// Decode parallelism lives one level up, in the [`Engine`](crate::Engine)'s
+/// workers, each of which drives its own `decode_step_batch`.
 ///
 /// # Precision
 ///
@@ -1422,58 +1357,20 @@ pub fn decode_step_batch(
             store.value(sa.bv),
             &mut s.v[..b * d]
         );
-        // Per-lane K/V append + attention. Lanes own disjoint caches, score
-        // slabs, and ctx rows, so wide batches partition lanes across scoped
-        // threads exactly like `matmul` partitions output rows; each lane's
-        // accumulation order is untouched, so logits stay bitwise identical
-        // to the serial walk.
-        let cap = s.scores_cap;
-        let threads = lane_threads(b, 2 * d * (max_pos + 1));
-        if threads <= 1 {
-            for (i, cache) in caches.iter_mut().enumerate() {
-                let pool = cache.pool.clone();
-                let lc = &mut cache.layers[li];
-                self_attend_append(
-                    lc,
-                    pool.as_ref(),
-                    &s.q[i * d..(i + 1) * d],
-                    &s.k[i * d..(i + 1) * d],
-                    &s.v[i * d..(i + 1) * d],
-                    scale,
-                    &mut s.scores[i * cap..(i + 1) * cap],
-                    &mut s.ctx[i * d..(i + 1) * d],
-                );
-            }
-        } else {
-            let lanes_per = b.div_ceil(threads);
-            let (q, k, v) = (&s.q[..b * d], &s.k[..b * d], &s.v[..b * d]);
-            crossbeam::scope(|scope| {
-                for (ci, ((cache_chunk, ctx_chunk), scores_chunk)) in caches
-                    .chunks_mut(lanes_per)
-                    .zip(s.ctx[..b * d].chunks_mut(lanes_per * d))
-                    .zip(s.scores[..b * cap].chunks_mut(lanes_per * cap))
-                    .enumerate()
-                {
-                    scope.spawn(move |_| {
-                        for (j, cache) in cache_chunk.iter_mut().enumerate() {
-                            let i = ci * lanes_per + j;
-                            let pool = cache.pool.clone();
-                            let lc = &mut cache.layers[li];
-                            self_attend_append(
-                                lc,
-                                pool.as_ref(),
-                                &q[i * d..(i + 1) * d],
-                                &k[i * d..(i + 1) * d],
-                                &v[i * d..(i + 1) * d],
-                                scale,
-                                &mut scores_chunk[j * cap..(j + 1) * cap],
-                                &mut ctx_chunk[j * d..(j + 1) * d],
-                            );
-                        }
-                    });
-                }
-            })
-            .expect("lane threads do not panic");
+        // Per-lane K/V append + attention over that lane's own cache.
+        for (i, cache) in caches.iter_mut().enumerate() {
+            let pool = cache.pool.clone();
+            let lc = &mut cache.layers[li];
+            self_attend_append(
+                lc,
+                pool.as_ref(),
+                &s.q[i * d..(i + 1) * d],
+                &s.k[i * d..(i + 1) * d],
+                &s.v[i * d..(i + 1) * d],
+                scale,
+                &mut s.scores,
+                &mut s.ctx[i * d..(i + 1) * d],
+            );
         }
         fused_linear!(
             weights,
@@ -1503,49 +1400,17 @@ pub fn decode_step_batch(
             store.value(ca.bq),
             &mut s.q[..b * d]
         );
-        // Cross-attention reads per-lane encoder K/V (shared `Arc`s, never
-        // mutated), so the same lane partitioning applies.
-        let t_enc = caches[0].layers[li].cross_k[0].shape[0];
-        let threads = lane_threads(b, 2 * d * t_enc);
-        if threads <= 1 {
-            for (i, cache) in caches.iter_mut().enumerate() {
-                let lc = &cache.layers[li];
-                attend(
-                    &s.q[i * d..(i + 1) * d],
-                    &lc.cross_k,
-                    &lc.cross_v,
-                    scale,
-                    &mut s.scores[i * cap..(i + 1) * cap],
-                    &mut s.ctx[i * d..(i + 1) * d],
-                );
-            }
-        } else {
-            let lanes_per = b.div_ceil(threads);
-            let q = &s.q[..b * d];
-            crossbeam::scope(|scope| {
-                for (ci, ((cache_chunk, ctx_chunk), scores_chunk)) in caches
-                    .chunks(lanes_per)
-                    .zip(s.ctx[..b * d].chunks_mut(lanes_per * d))
-                    .zip(s.scores[..b * cap].chunks_mut(lanes_per * cap))
-                    .enumerate()
-                {
-                    scope.spawn(move |_| {
-                        for (j, cache) in cache_chunk.iter().enumerate() {
-                            let i = ci * lanes_per + j;
-                            let lc = &cache.layers[li];
-                            attend(
-                                &q[i * d..(i + 1) * d],
-                                &lc.cross_k,
-                                &lc.cross_v,
-                                scale,
-                                &mut scores_chunk[j * cap..(j + 1) * cap],
-                                &mut ctx_chunk[j * d..(j + 1) * d],
-                            );
-                        }
-                    });
-                }
-            })
-            .expect("lane threads do not panic");
+        // Cross-attention over each lane's shared encoder K/V.
+        for (i, cache) in caches.iter().enumerate() {
+            let lc = &cache.layers[li];
+            attend(
+                &s.q[i * d..(i + 1) * d],
+                &lc.cross_k,
+                &lc.cross_v,
+                scale,
+                &mut s.scores,
+                &mut s.ctx[i * d..(i + 1) * d],
+            );
         }
         fused_linear!(
             weights,
@@ -1775,36 +1640,68 @@ mod tests {
         assert_eq!(b.len(), 2);
     }
 
-    #[test]
-    fn batched_step_is_bitwise_single_step() {
-        let (cfg, store, params, enc_out) = setup();
-        // Three lanes at different positions, stepped in lockstep, must each
-        // reproduce the standalone single-request logits exactly.
-        let mut singles: Vec<DecoderCache> = (0..3)
-            .map(|_| DecoderCache::new(&store, &params, &cfg, &enc_out))
-            .collect();
-        let mut batched: Vec<DecoderCache> = (0..3)
-            .map(|_| DecoderCache::new(&store, &params, &cfg, &enc_out))
-            .collect();
-        // Desynchronize lane 2 by one step on both sides.
-        decode_step(&store, &params, &cfg, &mut singles[2], 3);
-        decode_step(&store, &params, &cfg, &mut batched[2], 3);
+    /// `setup`'s model over a 512-token encoder output, with room for a
+    /// lane 511 positions deep: at 8 lanes both attention sections carry
+    /// `8 · 2 · d · 512 = 2^17` multiply-adds per step, the serving-scale
+    /// regime.
+    fn long_setup() -> (ModelConfig, ParamStore, TransformerParams, Tensor) {
+        let (mut cfg, store, params, _) = setup();
+        cfg.max_enc_len = 512;
+        cfg.max_dec_len = 520;
+        let src: Vec<usize> = (0..512).map(|i| 1 + (i * 7) % 23).collect();
+        let enc_out = crate::decode::encode_source(&store, &params, &cfg, &src);
+        (cfg, store, params, enc_out)
+    }
 
-        let weights = DecoderWeights::for_precision(&store, &params, Precision::F32);
-        let mut scratch = BatchScratch::new(&cfg, 3);
-        let mut logits = vec![0.0f32; 3 * cfg.vocab_size];
-        for step in 0..3usize {
-            let tokens = [1 + step, 7, 5 + step];
+    /// Steps one batched set of caches through [`decode_step_batch`] and one
+    /// single-request set through the matching single step (`decode_step`
+    /// or `decode_step_quant`, by `precision`), asserting every lane's
+    /// logits row is bitwise the single-request one. Before that, lane `i`
+    /// takes `warm[i]` single steps on both sides, so lanes sit at mixed
+    /// cache lengths; `token(step, lane)` picks the lockstep tokens.
+    fn assert_batched_is_bitwise_single(
+        (cfg, store, params, enc_out): &(ModelConfig, ParamStore, TransformerParams, Tensor),
+        precision: Precision,
+        warm: &[usize],
+        steps: usize,
+        token: impl Fn(usize, usize) -> usize,
+    ) {
+        let n = warm.len();
+        let qw = QuantDecoderWeights::new(store, params);
+        let single = |c: &mut DecoderCache, t: usize| match precision {
+            Precision::F32 => decode_step(store, params, cfg, c, t),
+            Precision::Int8 => decode_step_quant(store, params, cfg, &qw, c, t),
+        };
+        let caches = || -> Vec<DecoderCache> {
+            (0..n)
+                .map(|_| DecoderCache::new(store, params, cfg, enc_out))
+                .collect()
+        };
+        let (mut singles, mut batched) = (caches(), caches());
+        for (lane, &w) in warm.iter().enumerate() {
+            for step in 0..w {
+                let t = 1 + (lane + 7 * step) % (cfg.vocab_size - 1);
+                single(&mut singles[lane], t);
+                single(&mut batched[lane], t);
+            }
+        }
+
+        let weights = DecoderWeights::for_precision(store, params, precision);
+        assert_eq!(weights.precision(), precision);
+        let mut scratch = BatchScratch::new(cfg, n);
+        let mut logits = vec![0.0f32; n * cfg.vocab_size];
+        for step in 0..steps {
+            let tokens: Vec<usize> = (0..n).map(|lane| token(step, lane)).collect();
             let expected: Vec<Vec<f32>> = singles
                 .iter_mut()
-                .zip(tokens)
-                .map(|(c, t)| decode_step(&store, &params, &cfg, c, t))
+                .zip(&tokens)
+                .map(|(c, &t)| single(c, t))
                 .collect();
             let mut lanes: Vec<&mut DecoderCache> = batched.iter_mut().collect();
             decode_step_batch(
-                &store,
-                &params,
-                &cfg,
+                store,
+                params,
+                cfg,
                 &weights,
                 &mut lanes,
                 &tokens,
@@ -1819,6 +1716,24 @@ mod tests {
         for (s, b) in singles.iter().zip(&batched) {
             assert_eq!(s.len(), b.len());
         }
+    }
+
+    /// Lanes at different positions, stepped in lockstep, must each
+    /// reproduce the standalone single-request logits exactly: three lanes
+    /// (lane 2 one step ahead) over a short encoder output, and eight lanes
+    /// at mixed lengths (one 511 deep) over a 512-token one.
+    #[test]
+    fn batched_step_is_bitwise_single_step() {
+        assert_batched_is_bitwise_single(&setup(), Precision::F32, &[0, 0, 1], 3, |step, lane| {
+            [1 + step, 7, 5 + step][lane]
+        });
+        assert_batched_is_bitwise_single(
+            &long_setup(),
+            Precision::F32,
+            &[0, 7, 1, 511, 3, 40, 2, 16],
+            3,
+            |step, lane| 1 + (3 * lane + 5 * step) % 23,
+        );
     }
 
     #[test]
@@ -1867,44 +1782,20 @@ mod tests {
 
     /// The quantized batched step is bitwise the quantized single step —
     /// integer accumulation is order-invariant, so this holds by
-    /// construction, and this test keeps it held.
+    /// construction, and this test keeps it held. Same two inputs as the
+    /// f32 test.
     #[test]
     fn quant_batched_step_is_bitwise_quant_single_step() {
-        let (cfg, store, params, enc_out) = setup();
-        let qw = QuantDecoderWeights::new(&store, &params);
-        let mut singles: Vec<DecoderCache> = (0..3)
-            .map(|_| DecoderCache::new(&store, &params, &cfg, &enc_out))
-            .collect();
-        let mut batched: Vec<DecoderCache> = (0..3)
-            .map(|_| DecoderCache::new(&store, &params, &cfg, &enc_out))
-            .collect();
-        let weights = DecoderWeights::for_precision(&store, &params, Precision::Int8);
-        assert_eq!(weights.precision(), Precision::Int8);
-        let mut scratch = BatchScratch::new(&cfg, 3);
-        let mut logits = vec![0.0f32; 3 * cfg.vocab_size];
-        for step in 0..4usize {
-            let tokens = [2 + step, 9, 4 + step];
-            let expected: Vec<Vec<f32>> = singles
-                .iter_mut()
-                .zip(tokens)
-                .map(|(c, t)| decode_step_quant(&store, &params, &cfg, &qw, c, t))
-                .collect();
-            let mut lanes: Vec<&mut DecoderCache> = batched.iter_mut().collect();
-            decode_step_batch(
-                &store,
-                &params,
-                &cfg,
-                &weights,
-                &mut lanes,
-                &tokens,
-                &mut scratch,
-                &mut logits,
-            );
-            for (i, want) in expected.iter().enumerate() {
-                let got = &logits[i * cfg.vocab_size..(i + 1) * cfg.vocab_size];
-                assert_eq!(got, &want[..], "lane {i} step {step}");
-            }
-        }
+        assert_batched_is_bitwise_single(&setup(), Precision::Int8, &[0, 0, 0], 4, |step, lane| {
+            [2 + step, 9, 4 + step][lane]
+        });
+        assert_batched_is_bitwise_single(
+            &long_setup(),
+            Precision::Int8,
+            &[0, 7, 1, 511, 3, 40, 2, 16],
+            3,
+            |step, lane| 1 + (3 * lane + 5 * step) % 23,
+        );
     }
 
     /// Quantized logits are close to — but (being quantized) not bitwise

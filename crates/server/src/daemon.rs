@@ -467,14 +467,7 @@ impl ServiceState {
         self.final_prefix = service.prefix_stats();
         self.final_preemptions = service.preemptions();
         self.workers = service.workers();
-        let mut pool = PoolStats::default();
-        for (i, s) in service.shutdown().iter().enumerate() {
-            if i == 0 {
-                pool = *s;
-            } else {
-                pool.absorb(s);
-            }
-        }
+        let pool = service.shutdown();
         assert_eq!(
             pool.pages_live, 0,
             "drain completed but the engine leaked KV pages"

@@ -10,11 +10,8 @@
 //!    AND int8. Every request that completes must be **bitwise identical**
 //!    to the single-request `decode_encoded_prompted_contiguous` reference
 //!    — the same oracle `tests/serving_props.rs` uses — which transitively
-//!    pins every pair of worker counts to each other. The suite forces the
-//!    intra-step lane parallelism on (`MPIRICAL_LANE_PAR`), so the
-//!    threaded per-lane attention path is exercised even at these tiny
-//!    shapes. After drain + shutdown, **every worker's pool reports zero
-//!    live pages**.
+//!    pins every pair of worker counts to each other. After drain +
+//!    shutdown, **every worker's pool reports zero live pages**.
 //! 2. **Seeded determinism** — the same engine seed, worker count, and
 //!    interactive submission sequence reproduce the exact same
 //!    telemetry-visible placement (`Engine::placements`), twice.
@@ -66,12 +63,6 @@ type Fixture = (
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
-        // Force the intra-step lane parallelism on before the first decode
-        // anywhere in this process: the threshold would otherwise keep
-        // these tiny shapes serial and the threaded per-lane path untested.
-        // (Read once via OnceLock in the model crate; every test funnels
-        // through this fixture first.)
-        std::env::set_var("MPIRICAL_LANE_PAR", "2");
         let mut cfg = ModelConfig::tiny();
         cfg.vocab_size = 24;
         cfg.n_dec_layers = 2;
